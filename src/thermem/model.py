@@ -171,13 +171,19 @@ def regression_matrix(ops: GraphOperators, T_t: np.ndarray, P_t: np.ndarray) -> 
 
 
 def _psd_factor(Q: np.ndarray) -> np.ndarray:
-    """Lower-triangular-ish factor F with F F' = Q, tolerant of PSD rank loss."""
-    try:
-        return np.linalg.cholesky(Q)
-    except np.linalg.LinAlgError:
-        vals, vecs = np.linalg.eigh(Q)
-        vals = np.clip(vals, 0.0, None)
-        return vecs * np.sqrt(vals)
+    """Lower-triangular-ish factor F with F F' = Q, tolerant of PSD rank loss.
+
+    A diagonal entry <= 0 rules out a Cholesky factor (AAt process noise
+    zeroes the ambient one), so such Q go straight to the eigen-factor.
+    """
+    if np.all(np.diag(Q) > 0):
+        try:
+            return np.linalg.cholesky(Q)
+        except np.linalg.LinAlgError:
+            pass
+    vals, vecs = np.linalg.eigh(Q)
+    vals = np.clip(vals, 0.0, None)
+    return vecs * np.sqrt(vals)
 
 
 def _check_finite(T: np.ndarray):

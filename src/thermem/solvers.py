@@ -6,11 +6,11 @@ covariance,
 computed by the structure-preserving doubling iteration (quadratically
 convergent, no eigen-decompositions), with a plain fixed-point sweep of the
 covariance recursion as fallback when doubling hits an ill-conditioned
-intermediate. The Lyapunov equation V = J V J' + W is solved by a direct
-Kronecker solve for small systems and by the squaring iteration
-    V <- V + J^(2^k) V (J^(2^k))'
-otherwise. Every accepted solution is certified by its fixed-point residual;
-iterates are symmetrized each step to suppress drift.
+intermediate. The Lyapunov equation V = J V J' + W is solved by the
+squaring iteration
+    V <- V + J^(2^k) V (J^(2^k))'.
+Every accepted solution is certified by its fixed-point residual; iterates
+are symmetrized each step to suppress drift.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from thermem.errors import ConvergenceError, NumericalError
-
-_KRON_DIRECT_MAX = 64
 
 
 @dataclass(eq=False)
@@ -117,10 +115,10 @@ def solve_dare(p: DareProblem, tol: float = None, max_iter: int = 200) -> np.nda
     def threshold(M):
         return max(tol, 5e-9 * max(1.0, np.linalg.norm(M, "fro")))
 
-    if not converged or dare_residual(V, prob) >= threshold(V):
+    res = dare_residual(V, prob) if converged else np.inf
+    if res >= threshold(V):
         V = _dare_fixed_point(prob, V if converged else Q, tol, 10 * max_iter)
-
-    res = dare_residual(V, prob)
+        res = dare_residual(V, prob)
     if not np.isfinite(res) or res >= threshold(V):
         raise ConvergenceError(
             f"DARE did not reach residual tolerance {threshold(V):.3g} "
@@ -141,28 +139,19 @@ def solve_dlyap(p: DlyapProblem, tol: float = None, max_iter: int = 200) -> np.n
     J = np.asarray(p.J, dtype=np.float64)
     W = _sym(np.asarray(p.W, dtype=np.float64))
     prob = DlyapProblem(J, W)
-    n = J.shape[0]
     if tol is None:
         tol = 1e-10 * max(1.0, np.linalg.norm(W, "fro"))
 
-    if n <= _KRON_DIRECT_MAX:
-        lhs = np.eye(n * n) - np.kron(J, J)
-        try:
-            V = np.linalg.solve(lhs, W.reshape(-1))
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"Lyapunov operator singular (rho(J) >= 1?): {exc}") from exc
-        V = _sym(V.reshape(n, n))
-    else:
-        V = W.copy()
-        Jk = J.copy()
-        w0 = np.linalg.norm(W, "fro")
-        for _ in range(max_iter):
-            V = _sym(V + Jk @ V @ Jk.T)
-            if not np.isfinite(V).all() or np.linalg.norm(V, "fro") > 1e12 * max(1.0, w0):
-                raise ConvergenceError("Lyapunov squaring iteration diverging (rho(J) >= 1)")
-            Jk = Jk @ Jk
-            if np.linalg.norm(Jk, "fro") ** 2 * np.linalg.norm(V, "fro") <= 0.1 * tol:
-                break
+    V = W.copy()
+    Jk = J.copy()
+    w0 = np.linalg.norm(W, "fro")
+    for _ in range(max_iter):
+        V = _sym(V + Jk @ V @ Jk.T)
+        if not np.isfinite(V).all() or np.linalg.norm(V, "fro") > 1e12 * max(1.0, w0):
+            raise ConvergenceError("Lyapunov squaring iteration diverging (rho(J) >= 1)")
+        Jk = Jk @ Jk
+        if np.linalg.norm(Jk, "fro") ** 2 * np.linalg.norm(V, "fro") <= 0.1 * tol:
+            break
 
     res = dlyap_residual(V, prob)
     threshold = max(tol, 5e-9 * max(1.0, np.linalg.norm(V, "fro")))

@@ -104,3 +104,44 @@ def bruteforce_terms(mesh, scheme, x, P, Q_inv, theta, V=None, J_S=None):
         sum_dTthM += np.outer(dx, Mth_mean) - (V_lag - V) @ S.T / dtau
 
     return sum_dTdT, sum_MQM, sum_MththM, sum_MQdT, sum_dTthM
+
+
+def affine_loop(F, X, reverse=False):
+    """x[t+1] = F x[t] + u[t+1] one step at a time (x[t] = F x[t+1] + u[t]
+    backwards), from X holding the start state and the inputs."""
+    X = np.array(X, dtype=np.float64)
+    steps = range(X.shape[0] - 2, -1, -1) if reverse else range(1, X.shape[0])
+    for t in steps:
+        X[t] += F @ (X[t + 1] if reverse else X[t - 1])
+    return X
+
+
+def rollout_loop(A, B, T1, P, W=None):
+    """Textbook rollout T[t+1] = A T[t] + B P[t] (+ W[t])."""
+    T = np.empty((P.shape[0] + 1, len(T1)))
+    T[0] = T1
+    for t in range(P.shape[0]):
+        T[t + 1] = A @ T[t] + B @ P[t] + (0.0 if W is None else W[t])
+    return T
+
+
+def filter_loop(A, B, C, K, x1, P, Y):
+    """Textbook steady-gain filter: predict, innovate, correct."""
+    N = Y.shape[0]
+    xf = np.empty((N, len(x1)))
+    innov = np.empty((N - 1, C.shape[0]))
+    xf[0] = x1
+    for t in range(N - 1):
+        xp = A @ xf[t] + B @ P[t]
+        innov[t] = Y[t + 1] - C @ xp
+        xf[t + 1] = xp + K @ innov[t]
+    return xf, innov
+
+
+def smooth_loop(A, B, J, Xf, P):
+    """Textbook steady-gain RTS backward pass."""
+    xs = np.empty_like(Xf)
+    xs[-1] = Xf[-1]
+    for t in range(Xf.shape[0] - 2, -1, -1):
+        xs[t] = Xf[t] + J @ (xs[t + 1] - A @ Xf[t] - B @ P[t])
+    return xs

@@ -8,6 +8,7 @@ from thermem.graph import SharingScheme, build_operators
 from thermem.mesh import build_grid
 from thermem.model import (
     ThetaParams,
+    _psd_factor,
     assemble,
     initial_state_from_observation,
     predict,
@@ -159,6 +160,20 @@ def test_simulate_divergence_reports_step():
     model = make_model([[2.0, 0.0], [0.0, 2.0]])  # wildly unstable
     with pytest.raises(DivergenceError):
         simulate(model, [1e300, 1e300], np.zeros((40, 1)), noiseless=True)
+
+
+def test_psd_factor_cholesky_when_definite_eigen_when_singular():
+    rng = np.random.default_rng(3)
+    M = rng.normal(size=(6, 6))
+    Q_pd = M @ M.T + np.eye(6)
+    np.testing.assert_array_equal(_psd_factor(Q_pd), np.linalg.cholesky(Q_pd))
+    # Singular with a zero diagonal entry, like AAt noise at the ambient.
+    Q_sing = Q_pd.copy()
+    Q_sing[-1, :] = Q_sing[:, -1] = 0.0
+    vals, vecs = np.linalg.eigh(Q_sing)
+    F = _psd_factor(Q_sing)
+    np.testing.assert_array_equal(F, vecs * np.sqrt(np.clip(vals, 0.0, None)))
+    np.testing.assert_allclose(F @ F.T, Q_sing, atol=1e-12)
 
 
 def test_predict_equals_noiseless_simulate():

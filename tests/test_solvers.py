@@ -107,7 +107,7 @@ def test_dlyap_scalar_geometric_series():
 
 def test_dlyap_residual_random():
     rng = np.random.default_rng(5)
-    for n in (4, 80):  # both the Kronecker and the squaring path
+    for n in (4, 80):
         J = rng.normal(size=(n, n))
         J *= 0.9 / np.max(np.abs(np.linalg.eigvals(J)))
         W = _random_spd(rng, n)
