@@ -87,7 +87,8 @@ def rollout(A, B, T1, P, W=None):
     np.matmul(P, _c64(B).T, out=T[1:])
     if W is not None:
         T[1:] += W
-    return affine_scan(_c64(A), T)
+    with np.errstate(over="ignore", invalid="ignore"):  # the caller checks for inf/NaN
+        return affine_scan(_c64(A), T)
 
 
 def filter_steady(A, B, C, K, x1, P, Y):

@@ -218,17 +218,16 @@ def cmd_predict(args) -> int:
         err = np.abs(pred.T[:H] - truth.T[:H])
         ambient = float(truth.T[0, exp.mesh.ambient_index])
         rise = float(truth.T[:H].max() - ambient)
+        pct = float(100.0 * err.max() / rise) if rise > 0 else None
         report["error"] = {
             "steps_compared": H,
             "max_abs_error": float(err.max()),
             "ambient_to_peak_rise": rise,
-            "max_error_pct_of_rise": float(100.0 * err.max() / rise) if rise > 0 else None,
+            "max_error_pct_of_rise": pct,
             "per_compartment_max": err.max(axis=0),
         }
-        print(
-            f"prediction error over {H} steps: max {err.max():.4g} degC "
-            f"({100.0 * err.max() / rise:.2f}% of {rise:.3g} degC rise)"
-        )
+        share = f"{pct:.2f}% of {rise:.3g} degC rise" if pct is not None else "no rise above ambient"
+        print(f"prediction error over {H} steps: max {err.max():.4g} degC ({share})")
     else:
         print("no ground truth found; error section omitted")
     tio.write_manifest(os.path.join(out, "error_report.json"), report)

@@ -432,6 +432,7 @@ def run_em(
     )
     prev_loglik = None
     ll_warnings = 0
+    V_prev = None  # the last E-step's DARE solution warm-starts the next
     Z0 = np.zeros((ops.n, ops.n))  # read-only filler for the theta-update terms
 
     try:
@@ -441,7 +442,8 @@ def run_em(
             # a dtau^2 factor (a no-op at the default dtau = 1).
             Q_state = cfg.dtau**2 * constraint_state.matrix()
             model = assemble(ops, theta, observed, Q=Q_state, R=cfg.R)
-            out = rtss_steady(model, Y, P, T_1)
+            out = rtss_steady(model, Y, P, T_1, V0=V_prev)
+            V_prev = out.V_S_minus
             stats = accumulate_stats(out, P)
 
             if constraint == SCALAR_IDENTITY:
@@ -507,6 +509,8 @@ def run_em(
                     "" if ll_warnings != 5 else " (further decreases logged at DEBUG)",
                 )
             prev_loglik = out.loglik
+            # Free this E-step's N x n means before the next E-step makes its own.
+            del out, stats
 
             theta = theta_new
             constraint_state = constraint_new

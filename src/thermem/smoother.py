@@ -98,12 +98,12 @@ def _loglik_from_innovations(innov: np.ndarray, S: np.ndarray) -> float:
     return -0.5 * (quad + innov.shape[0] * (logdet + n_y * np.log(2.0 * np.pi)))
 
 
-def rtss_steady(model: StateSpaceModel, Y, P, T_1) -> SmootherOutput:
-    """Two-pass smoother with stationary gains K_S and J_S."""
+def rtss_steady(model: StateSpaceModel, Y, P, T_1, V0=None) -> SmootherOutput:
+    """Two-pass smoother with stationary gains K_S and J_S; ``V0`` warm-starts the DARE."""
     Y, P_dyn, T_1, N = _check_inputs(model, Y, P, T_1)
     A, C, Q, R = model.A, model.C, model.Q, model.R
 
-    V_minus = solve_dare(DareProblem(A=A, C=C, Q=Q, R=R))
+    V_minus = solve_dare(DareProblem(A=A, C=C, Q=Q, R=R), V0=V0)
     S = C @ V_minus @ C.T + R
     try:
         K_S = np.linalg.solve(S.T, (V_minus @ C.T).T).T

@@ -2,12 +2,14 @@
 
 The filter-form DARE solved here is the fixed point of the predicted state
 covariance,
-    V = A V A' - A V C' (C V C' + R)^{-1} C V A' + Q,
-computed by the structure-preserving doubling iteration (quadratically
-convergent, no eigen-decompositions), with a plain fixed-point sweep of the
-covariance recursion as fallback when doubling hits an ill-conditioned
-intermediate. The Lyapunov equation V = J V J' + W is solved by the
-squaring iteration
+    V = A V A' - A V C' (C V C' + R)^{-1} C V A' + Q.
+From a nearby start (the previous EM iteration's solution), warm Newton-Hewer
+refinement solves the Stein equation X = F X F' + Res(V), with F = A - K C,
+K = A V C' (C V C' + R)^{-1} and Res(V) the DARE residual, and sets V <- V + X.
+The cold start and fallback is the structure-preserving doubling iteration
+(quadratically convergent, no eigen-decompositions), then a plain fixed-point
+sweep of the covariance recursion. Lyapunov and Stein equations V = J V J' + W
+are solved by the squaring iteration
     V <- V + J^(2^k) V (J^(2^k))'.
 Every accepted solution is certified by its fixed-point residual; iterates
 are symmetrized each step to suppress drift.
@@ -40,12 +42,34 @@ def _sym(M):
     return (M + M.T) / 2.0
 
 
-def dare_residual(V, p: DareProblem) -> float:
+def _sym_inplace(M):
+    """(M + M') / 2 written over M; the same values as ``_sym``."""
+    M += M.T
+    M *= 0.5
+    return M
+
+
+# Newton-Hewer steps a warm start may take before it falls back to doubling.
+_NEWTON_STEPS = 4
+
+
+def _riccati_defect(V, p: DareProblem):
+    """DARE residual Ric(V) - V and the predictor gain K = A V C' (C V C' + R)^{-1}."""
     A, C, Q, R = p.A, p.C, p.Q, p.R
-    S = C @ V @ C.T + R
-    K = np.linalg.solve(S.T, (A @ V @ C.T).T).T
-    rhs = A @ V @ A.T - K @ (A @ V @ C.T).T + Q
-    return float(np.linalg.norm(V - rhs, "fro"))
+    AVC = A @ V @ C.T
+    K = np.linalg.solve((C @ V @ C.T + R).T, AVC.T).T
+    return A @ V @ A.T - K @ AVC.T + Q - V, K
+
+
+def dare_residual(V, p: DareProblem) -> float:
+    return float(np.linalg.norm(_riccati_defect(V, p)[0], "fro"))
+
+
+def _check_psd(V):
+    eigs = np.linalg.eigvalsh(V)
+    if eigs.min() < -1e-10 * max(1.0, eigs.max()):
+        raise NumericalError(f"DARE solution indefinite (min eigenvalue {eigs.min():.3g})")
+    return V
 
 
 def _dare_fixed_point(p: DareProblem, V0, tol, max_iter):
@@ -65,12 +89,33 @@ def _dare_fixed_point(p: DareProblem, V0, tol, max_iter):
     return V
 
 
-def solve_dare(p: DareProblem, tol: float = None, max_iter: int = 200) -> np.ndarray:
+def _newton_hewer(p: DareProblem, V, threshold, max_iter):
+    """Newton-Hewer steps from V: the certified solution, or None (silently) on
+    failure, after ``_NEWTON_STEPS`` steps, or once the residual stops falling."""
+    res_prev = np.inf
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for step in range(_NEWTON_STEPS + 1):
+                D, K = _riccati_defect(V, p)
+                res = float(np.linalg.norm(D, "fro"))
+                if res < threshold(V):
+                    return _check_psd(V)
+                if step == _NEWTON_STEPS or not res < res_prev:
+                    break
+                res_prev = res
+                V = V + _squaring(p.A - K @ p.C, _sym_inplace(D), threshold(V), max_iter)
+    except (np.linalg.LinAlgError, ConvergenceError, NumericalError):
+        pass  # the caller falls back to doubling
+    return None
+
+
+def solve_dare(p: DareProblem, tol: float = None, max_iter: int = 200, V0=None) -> np.ndarray:
     """Stabilizing solution of the filter DARE, residual-certified.
 
     Requires R invertible and (A, C) detectable in every mode not excited by
     Q; with the marginal all-ones thermal mode this holds when the ambient
-    temperature is among the observations.
+    temperature is among the observations. A nearby solution ``V0`` starts
+    Newton-Hewer refinement; if that fails, doubling runs from a cold start.
     """
     A = np.asarray(p.A, dtype=np.float64)
     C = np.asarray(p.C, dtype=np.float64)
@@ -81,39 +126,54 @@ def solve_dare(p: DareProblem, tol: float = None, max_iter: int = 200) -> np.nda
     if tol is None:
         tol = 1e-10 * max(1.0, np.linalg.norm(Q, "fro"))
 
-    # Doubling iteration on the dual (control-form) equation with
-    # (A, B, H) = (A', C', Q): Hk increases to the stabilizing solution.
-    try:
-        G = C.T @ np.linalg.solve(R, C)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"R is singular: {exc}") from exc
-    Ak = A.T.copy()
-    Gk = _sym(G)
-    Hk = Q.copy()
-    converged = False
-    for _ in range(max_iter):
-        M = np.eye(n) + Gk @ Hk
-        try:
-            solved = np.linalg.solve(M, np.hstack([Ak, Gk]))
-        except np.linalg.LinAlgError:
-            break  # fall back to the fixed-point sweep
-        Minv_Ak, Minv_Gk = solved[:, :n], solved[:, n:]
-        H_next = _sym(Hk + Ak.T @ Hk @ Minv_Ak)
-        G_next = _sym(Gk + Ak @ Minv_Gk @ Ak.T)
-        A_next = Ak @ Minv_Ak
-        step = np.linalg.norm(H_next - Hk, "fro")
-        Ak, Gk, Hk = A_next, G_next, H_next
-        if step <= 0.1 * tol * max(1.0, np.linalg.norm(Hk, "fro")):
-            converged = True
-            break
-    V = _sym(Hk)
-
     # Certify against the requested tolerance, but never below the float64
     # residual floor of the problem scale (the cancellation in the gain term
     # caps attainable residuals near 1e-9 relative when R << V; 5e-9 stays
     # 2x inside the 1e-8 relative acceptance bound).
     def threshold(M):
         return max(tol, 5e-9 * max(1.0, np.linalg.norm(M, "fro")))
+
+    if V0 is not None:
+        V0 = np.asarray(V0, dtype=np.float64)
+        if V0.shape != (n, n):
+            raise ValueError(f"V0 must be {n}x{n}, got {V0.shape}")
+        V = _newton_hewer(prob, _sym(V0), threshold, max_iter)
+        if V is not None:
+            return V
+
+    # Doubling iteration on the dual (control-form) equation with
+    # (A, B, H) = (A', C', Q): Hk increases to the stabilizing solution.
+    # Ak and Gk live side by side in AG, the right-hand side of the solve, and
+    # each temporary goes before the next product is formed (memory peak).
+    AG = np.empty((n, 2 * n))
+    AG[:, :n] = A.T
+    try:
+        AG[:, n:] = _sym(C.T @ np.linalg.solve(R, C))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"R is singular: {exc}") from exc
+    Hk = Q.copy()
+    converged = False
+    for _ in range(max_iter):
+        Ak, Gk = AG[:, :n], AG[:, n:]
+        M = Gk @ Hk
+        M[np.diag_indices(n)] += 1.0
+        try:
+            solved = np.linalg.solve(M, AG)
+        except np.linalg.LinAlgError:
+            break  # fall back to the fixed-point sweep
+        del M
+        Minv_Ak, Minv_Gk = solved[:, :n], solved[:, n:]
+        H_next = _sym_inplace(Ak.T @ Hk @ Minv_Ak + Hk)
+        step = np.linalg.norm(H_next - Hk, "fro")
+        Hk = H_next
+        # solved becomes the next AG: G_next over M^{-1} Gk, then A_next.
+        solved[:, n:] = _sym_inplace(Ak @ Minv_Gk @ Ak.T + Gk)
+        solved[:, :n] = Ak @ Minv_Ak
+        AG = solved
+        if step <= 0.1 * tol * max(1.0, np.linalg.norm(Hk, "fro")):
+            converged = True
+            break
+    V = Hk
 
     res = dare_residual(V, prob) if converged else np.inf
     if res >= threshold(V):
@@ -124,14 +184,29 @@ def solve_dare(p: DareProblem, tol: float = None, max_iter: int = 200) -> np.nda
             f"DARE did not reach residual tolerance {threshold(V):.3g} "
             f"(final residual {res:.3g})"
         )
-    eigs = np.linalg.eigvalsh(V)
-    if eigs.min() < -1e-10 * max(1.0, eigs.max()):
-        raise NumericalError(f"DARE solution indefinite (min eigenvalue {eigs.min():.3g})")
-    return V
+    return _check_psd(V)
 
 
 def dlyap_residual(V, p: DlyapProblem) -> float:
     return float(np.linalg.norm(V - p.J @ V @ p.J.T - p.W, "fro"))
+
+
+def _squaring(J, W, tol, max_iter):
+    """V = J V J' + W for symmetric W, by V <- V + J^(2^k) V (J^(2^k))'.
+
+    Stops once the next term is below a tenth of ``tol``; raises
+    ConvergenceError when the iterates blow up (rho(J) >= 1).
+    """
+    V, Jk = W, J  # neither is written to; each step makes new arrays
+    w0 = np.linalg.norm(W, "fro")
+    for _ in range(max_iter):
+        V = _sym_inplace(Jk @ V @ Jk.T + V)
+        if not np.isfinite(V).all() or np.linalg.norm(V, "fro") > 1e12 * max(1.0, w0):
+            raise ConvergenceError("Lyapunov squaring iteration diverging (rho(J) >= 1)")
+        Jk = Jk @ Jk
+        if np.linalg.norm(Jk, "fro") ** 2 * np.linalg.norm(V, "fro") <= 0.1 * tol:
+            break
+    return V
 
 
 def solve_dlyap(p: DlyapProblem, tol: float = None, max_iter: int = 200) -> np.ndarray:
@@ -142,16 +217,7 @@ def solve_dlyap(p: DlyapProblem, tol: float = None, max_iter: int = 200) -> np.n
     if tol is None:
         tol = 1e-10 * max(1.0, np.linalg.norm(W, "fro"))
 
-    V = W.copy()
-    Jk = J.copy()
-    w0 = np.linalg.norm(W, "fro")
-    for _ in range(max_iter):
-        V = _sym(V + Jk @ V @ Jk.T)
-        if not np.isfinite(V).all() or np.linalg.norm(V, "fro") > 1e12 * max(1.0, w0):
-            raise ConvergenceError("Lyapunov squaring iteration diverging (rho(J) >= 1)")
-        Jk = Jk @ Jk
-        if np.linalg.norm(Jk, "fro") ** 2 * np.linalg.norm(V, "fro") <= 0.1 * tol:
-            break
+    V = _squaring(J, W, tol, max_iter)
 
     res = dlyap_residual(V, prob)
     threshold = max(tol, 5e-9 * max(1.0, np.linalg.norm(V, "fro")))

@@ -2,6 +2,7 @@
 
 import json
 import os
+import warnings
 
 import numpy as np
 
@@ -155,6 +156,25 @@ def test_predict_without_truth(tmp_path):
     assert main(["predict", "--config", cfg_path, "--horizon", "50"]) == 0
     report = read_manifest(os.path.join(out_dir, "error_report.json"))
     assert report["error"] is None
+
+
+def test_predict_flat_truth_reports_no_rise(tmp_path):
+    from thermem.model import Trajectory
+
+    cfg_path, out_dir = write_config(tmp_path, {"em": {"max_iter": 2, "R": 1e-10}})
+    assert main(["generate", "--config", cfg_path]) == 0
+    assert main(["identify", "--config", cfg_path]) == 0
+    data = read_trajectory_csv(os.path.join(out_dir, "dataset.csv"))
+    truth = tmp_path / "flat.csv"
+    # Every compartment stays at 25 degC: no rise above the ambient.
+    write_trajectory_csv(str(truth), Trajectory(P=data.P, y=data.y, T=np.full((data.N, 9), 25.0)),
+                         full_state=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["predict", "--config", cfg_path, "--horizon", "50", "--truth", str(truth)]) == 0
+    error = read_manifest(os.path.join(out_dir, "error_report.json"))["error"]
+    assert error["ambient_to_peak_rise"] == 0.0
+    assert error["max_error_pct_of_rise"] is None
 
 
 def test_report_requires_traces():

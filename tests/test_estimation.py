@@ -368,3 +368,25 @@ def test_run_em_unknown_constraint():
     mesh, scheme, ops, theta_true, traj = em_toy_problem()
     with pytest.raises(ConfigurationError):
         run_em(mesh, scheme, traj, EmConfig(max_iter=1), constraint="banana")
+
+
+def test_run_em_warm_dare_matches_cold(monkeypatch):
+    import thermem.estimation as estimation
+
+    mesh, scheme, ops, theta_true, traj = em_toy_problem(noise_q=1e-5, seed=4)
+    cfg = EmConfig(max_iter=20, theta_tol=1e-300, R=1e-8)
+    theta_warm, _, _ = run_em(mesh, scheme, traj, cfg)
+
+    warm_rtss = estimation.rtss_steady
+    starts = []
+
+    def cold_rtss(model, Y, P, T_1, V0=None):
+        starts.append(V0)
+        return warm_rtss(model, Y, P, T_1)
+
+    monkeypatch.setattr(estimation, "rtss_steady", cold_rtss)
+    theta_cold, _, trace = run_em(mesh, scheme, traj, cfg)
+    assert len(trace) == 20
+    # run_em hands every E-step after the first the previous DARE solution.
+    assert starts[0] is None and all(V is not None for V in starts[1:])
+    np.testing.assert_allclose(theta_warm.vector, theta_cold.vector, rtol=1e-8, atol=0)

@@ -1,5 +1,7 @@
 """State matrix assembly, regression identity, simulation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -160,6 +162,14 @@ def test_simulate_divergence_reports_step():
     model = make_model([[2.0, 0.0], [0.0, 2.0]])  # wildly unstable
     with pytest.raises(DivergenceError):
         simulate(model, [1e300, 1e300], np.zeros((40, 1)), noiseless=True)
+
+
+def test_simulate_divergence_raises_without_warnings():
+    model = make_model([[2.0, 0.0], [0.0, 2.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError):
+            simulate(model, [1e300, 1e300], np.zeros((40, 1)), noiseless=True)
 
 
 def test_psd_factor_cholesky_when_definite_eigen_when_singular():

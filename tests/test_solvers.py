@@ -1,9 +1,12 @@
 """Riccati and Lyapunov fixed points."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
+import thermem.solvers as solvers
 from thermem.errors import ConvergenceError
 from thermem.solvers import (
     DareProblem,
@@ -92,6 +95,85 @@ def test_dare_marginal_mode_with_observed_ambient():
     p = DareProblem(A=A, C=C, Q=1e-4 * np.eye(3), R=1e-6 * np.eye(2))
     V = solve_dare(p)
     assert dare_residual(V, p) < 1e-10 * max(1.0, np.linalg.norm(V))
+
+
+def _random_stable_dare(rng):
+    n, n_y = rng.integers(2, 12), rng.integers(1, 4)
+    A = rng.normal(size=(n, n))
+    A *= 0.95 / max(1e-9, np.max(np.abs(np.linalg.eigvals(A))))
+    return DareProblem(
+        A=A, C=rng.normal(size=(n_y, n)), Q=_random_spd(rng, n), R=_random_spd(rng, n_y)
+    )
+
+
+def _record_refinement(monkeypatch):
+    """Results of every Newton-Hewer refinement solve_dare attempts."""
+    results = []
+    refine = solvers._newton_hewer
+
+    def recorded(*args):
+        results.append(refine(*args))
+        return results[-1]
+
+    monkeypatch.setattr(solvers, "_newton_hewer", recorded)
+    return results
+
+
+def test_dare_warm_start_matches_cold_on_random_systems(monkeypatch):
+    rng = np.random.default_rng(17)
+    results = _record_refinement(monkeypatch)
+
+    def no_sweep(*args):
+        raise AssertionError("the warm path ran the fixed-point sweep")
+
+    monkeypatch.setattr(solvers, "_dare_fixed_point", no_sweep)
+    for trial in range(10):
+        p = _random_stable_dare(rng)
+        V_cold = solve_dare(p)
+        # The solution of a nearby problem, as the previous EM iteration gives.
+        near = DareProblem(A=0.97 * p.A, C=p.C, Q=1.2 * p.Q, R=0.8 * p.R)
+        V = solve_dare(p, V0=solve_dare(near))
+        assert results[-1] is not None  # certified by refinement, no fallback
+        assert np.array_equal(V, V.T)
+        assert dare_residual(V, p) < 5e-9 * max(1.0, np.linalg.norm(V))
+        assert np.linalg.eigvalsh(V).min() > 0
+        rel = np.linalg.norm(V - V_cold) / np.linalg.norm(V_cold)
+        assert rel < 1e-7
+
+
+def test_dare_warm_start_at_solution_skips_stein(monkeypatch):
+    p = _random_stable_dare(np.random.default_rng(23))
+    V = solve_dare(p)
+
+    def no_stein(*args):
+        raise AssertionError("Stein solve run for an already certified start")
+
+    monkeypatch.setattr(solvers, "_squaring", no_stein)
+    np.testing.assert_array_equal(solve_dare(p, V0=V), V)
+
+
+@pytest.mark.parametrize("start", ["zeros", "nan"])
+def test_dare_bad_warm_start_falls_back_silently(monkeypatch, start):
+    # Unstable but detectable: V0 = 0 gives F = A, whose Stein solve diverges.
+    A = np.array([[1.3, 0.2, 0.0], [0.0, 0.9, 0.1], [0.1, 0.0, 1.1]])
+    p = DareProblem(A=A, C=np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
+                    Q=0.1 * np.eye(3), R=0.01 * np.eye(2))
+    V0 = np.zeros((3, 3)) if start == "zeros" else np.full((3, 3), np.nan)
+    results = _record_refinement(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        V = solve_dare(p, V0=V0)
+    assert results == [None]
+    np.testing.assert_array_equal(V, solve_dare(p))
+    assert dare_residual(V, p) < 5e-9 * max(1.0, np.linalg.norm(V))
+    assert np.linalg.eigvalsh(V).min() > 0
+
+
+def test_dare_warm_start_wrong_shape_raises():
+    p = _random_stable_dare(np.random.default_rng(29))
+    n = p.A.shape[0]
+    with pytest.raises(ValueError):
+        solve_dare(p, V0=np.eye(n + 1))
 
 
 def test_dlyap_zero_contraction():
