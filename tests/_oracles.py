@@ -145,3 +145,8 @@ def smooth_loop(A, B, J, Xf, P):
     for t in range(Xf.shape[0] - 2, -1, -1):
         xs[t] = Xf[t] + J @ (xs[t + 1] - A @ Xf[t] - B @ P[t])
     return xs
+
+
+def savetxt_12g(path, header, data):
+    """Reference for thermem.io's CSV writer: np.savetxt at %.12g."""
+    np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.12g")
