@@ -26,7 +26,7 @@ from thermem.mesh import (
     refine_at,
     refine_many,
 )
-from thermem.graph import GraphOperators, SharingScheme, build_operators, edge_count
+from thermem.graph import GraphOperators, SharingScheme, build_operators
 from thermem.model import (
     StateSpaceModel,
     ThetaParams,
@@ -34,7 +34,6 @@ from thermem.model import (
     assemble,
     initial_state_from_observation,
     predict,
-    regression_matrix,
     simulate,
 )
 from thermem.solvers import DareProblem, DlyapProblem, solve_dare, solve_dlyap
@@ -42,7 +41,6 @@ from thermem.smoother import (
     SmootherOutput,
     SmootherStats,
     accumulate_stats,
-    rtss_full,
     rtss_steady,
 )
 from thermem.estimation import (
@@ -50,7 +48,6 @@ from thermem.estimation import (
     EmConfig,
     EmTrace,
     build_L,
-    expected_terms,
     project_constraint,
     run_em,
     update_Q_full,

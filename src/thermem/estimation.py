@@ -6,9 +6,10 @@ least-squares solution
     theta = (sum E{M' Q^{-1} M})^{-1} sum E{M' Q^{-1} dT},    dT = (T[t+1]-T[t])/dtau
 and the full-covariance update is the expected residual outer product
     Q_full = 1/(N-1) sum E{(dT - M theta)(dT - M theta)'}.
-Because M[t] is linear in the state, each expected term reduces to fixed
-sparse graph operators sandwiching the statistics; the identities used are
-diag(a) X diag(b) = X o (a b') and E{T_t T_{t+1}'} = lagged statistic XZ.
+Because M[t] is linear in the state, each expected term reduces to the
+per-class coupling matrices and the source map sandwiching the statistics;
+the identities used are diag(a) X diag(b) = X o (a b') and
+E{T_t T_{t+1}'} = lagged statistic XZ.
 
 Q_full is never used directly: it is projected onto one of three constraint
 families (isotropic qI, free diagonal, or alpha LL' + beta I fitted in the
@@ -24,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from thermem.errors import (
     ConfigurationError,
@@ -48,6 +48,7 @@ ALPHA_LL_BETA_I = "alpha_LL_beta_I"
 CONSTRAINT_KINDS = (SCALAR_IDENTITY, DIAGONAL, ALPHA_LL_BETA_I)
 
 PARAM_FLOOR = 1e-12
+COND_LIMIT = 1e12  # largest accepted condition number of the M-step normal matrix
 
 
 @dataclass(eq=False)
@@ -116,21 +117,6 @@ class CovarianceConstraint:
         return ["alpha", "beta"]
 
 
-@dataclass(eq=False)
-class ExpectedTerms:
-    """The five Appendix aggregates over t = 1..N-1."""
-
-    sum_dT_dT: np.ndarray          # n x n
-    sum_M_Qinv_M: np.ndarray       # (n_k + n_z) square
-    sum_M_theta_theta_M: np.ndarray  # n x n
-    sum_M_Qinv_dT: np.ndarray      # (n_k + n_z,)
-    sum_dT_theta_M: np.ndarray     # n x n
-    n_k: int
-    n_z: int
-    dtau: float
-    N: int
-
-
 def _diag_or_none(M: np.ndarray):
     if np.count_nonzero(M - np.diag(np.diagonal(M))) == 0:
         return np.diagonal(M)
@@ -196,12 +182,13 @@ def _quadratic_terms(stats: SmootherStats, ops: GraphOperators, Q_inv, dtau):
 
 
 def _theta_terms(stats: SmootherStats, ops: GraphOperators, theta: ThetaParams):
-    """sum E{M theta theta' M'} and sum E{dT theta' M'}.
+    """sum E{dT dT'}, sum E{M theta theta' M'} and sum E{dT theta' M'}.
 
-    With S = Io_dyn diag(C_sel k) J' and Bt = B_sel diag(A_sel z), each step
-    contributes M_t theta = -S T_t + Bt P_t, so both sums collapse onto the
-    statistic matrices.
+    With S = sum_a k_a S_a (the coupling sum) and Bt the source map at z,
+    each step contributes M_t theta = -S T_t + Bt P_t, so all three sums
+    collapse onto the statistic matrices.
     """
+    dTdT = (stats.XX - stats.XZ - stats.XZ.T + stats.ZZ) / theta.dtau**2
     S = ops.coupling_sum(theta.k)
     Bt = ops.source_matrix(theta.z).toarray()
     SX = np.asarray(S @ stats.XX)            # S E{T T'}
@@ -211,49 +198,26 @@ def _theta_terms(stats: SmootherStats, ops: GraphOperators, theta: ThetaParams):
     D = (stats.XZ - stats.XX).T              # sum E{(T_{t+1}-T_t) T_t'}
     DS = np.asarray(S @ D.T).T               # D S'
     dTthM = (-DS + (stats.ZU - stats.XU) @ Bt.T) / theta.dtau
-    return MththM, dTthM
+    return dTdT, MththM, dTthM
 
 
-def expected_terms(
-    stats: SmootherStats, ops: GraphOperators, Q_inv, theta: ThetaParams
-) -> ExpectedTerms:
-    """All five expected aggregates from the sufficient statistics."""
-    Q_inv = np.asarray(Q_inv, dtype=np.float64)
-    dtau = theta.dtau
-    dTdT = (stats.XX - stats.XZ - stats.XZ.T + stats.ZZ) / dtau**2
-    MQM, MQdT = _quadratic_terms(stats, ops, Q_inv, dtau)
-    MththM, dTthM = _theta_terms(stats, ops, theta)
-    return ExpectedTerms(
-        sum_dT_dT=dTdT,
-        sum_M_Qinv_M=MQM,
-        sum_M_theta_theta_M=MththM,
-        sum_M_Qinv_dT=MQdT,
-        sum_dT_theta_M=dTthM,
-        n_k=ops.n_k,
-        n_z=ops.n_z,
-        dtau=dtau,
-        N=stats.N,
-    )
-
-
-def update_theta(terms: ExpectedTerms, cond_limit: float = 1e12) -> ThetaParams:
-    """Weighted least-squares parameter update from the expected terms.
+def update_theta(stats: SmootherStats, ops: GraphOperators, Q_inv, dtau: float) -> ThetaParams:
+    """Weighted least-squares parameter update from the sufficient statistics.
 
     The normal matrix is Jacobi-equilibrated before solving; this leaves the
     estimator unchanged but keeps column-scale disparities (conductances see
     temperature differences, gains see raw powers) out of the conditioning.
     """
-    MQM = terms.sum_M_Qinv_M
-    rhs = terms.sum_M_Qinv_dT
+    MQM, rhs = _quadratic_terms(stats, ops, Q_inv, dtau)
     d = np.sqrt(np.abs(np.diagonal(MQM)))
     d[d == 0] = 1.0
     Ms = MQM / np.outer(d, d)
     u, s, vt = np.linalg.svd(Ms)
-    if s[0] <= 0 or not np.isfinite(s).all() or s[-1] < s[0] / cond_limit:
-        null = s < s[0] / cond_limit if s[0] > 0 else np.ones_like(s, dtype=bool)
+    if s[0] <= 0 or not np.isfinite(s).all() or s[-1] < s[0] / COND_LIMIT:
+        null = s < s[0] / COND_LIMIT if s[0] > 0 else np.ones_like(s, dtype=bool)
         indices = sorted({int(np.argmax(np.abs(vt[i]))) for i in np.nonzero(null)[0]})
         raise IdentifiabilityError(
-            f"normal matrix condition exceeds {cond_limit:.1e}; weakly identifiable "
+            f"normal matrix condition exceeds {COND_LIMIT:.1e}; weakly identifiable "
             f"parameter indices: {indices}",
             null_indices=indices,
         )
@@ -266,17 +230,13 @@ def update_theta(terms: ExpectedTerms, cond_limit: float = 1e12) -> ThetaParams:
             bad.tolist(),
         )
         vec = np.clip(vec, 0.0, None)
-    return ThetaParams.from_vector(vec, terms.n_k, terms.dtau)
+    return ThetaParams.from_vector(vec, ops.n_k, dtau)
 
 
-def update_Q_full(terms: ExpectedTerms) -> np.ndarray:
+def update_Q_full(stats: SmootherStats, ops: GraphOperators, theta: ThetaParams) -> np.ndarray:
     """Full ML covariance of the one-step scaled residuals dT - M theta."""
-    Q = (
-        terms.sum_dT_dT
-        - terms.sum_dT_theta_M
-        - terms.sum_dT_theta_M.T
-        + terms.sum_M_theta_theta_M
-    ) / (terms.N - 1)
+    dTdT, MththM, dTthM = _theta_terms(stats, ops, theta)
+    Q = (dTdT - dTthM - dTthM.T + MththM) / (stats.N - 1)
     return (Q + Q.T) / 2
 
 
@@ -328,15 +288,13 @@ def _floored(value: float, name: str) -> float:
 def build_L(ops: GraphOperators) -> np.ndarray:
     """Support pattern of the coupling operator, ambient column excluded.
 
-    Built from the literal incidence pair (Io, J) with unit conductances, so
-    the pattern marks every (head, head) and (head, tail) position of the
-    graph; only the ambient column is zeroed.
+    Marks every (head, head) and (head, tail) position of the graph, the
+    ambient head row included, with unit entries; only the ambient column is
+    zeroed.
     """
-    if ops.m == 0:
-        return np.zeros((ops.n, ops.n))
-    W = sp.diags(ops.weights)
-    pattern = (ops.Io @ W @ ops.J.T).toarray()
-    L = (pattern != 0).astype(np.float64)
+    L = np.zeros((ops.n, ops.n))
+    L[ops.heads, ops.heads] = 1.0
+    L[ops.heads, ops.tails] = 1.0
     L[:, ops.ambient_index] = 0.0
     return L
 
@@ -351,7 +309,6 @@ class EmConfig:
     q_init: float = 1e-2
     R: object = 1e-6
     dtau: float = 1.0
-    cond_limit: float = 1e12
 
     def __post_init__(self):
         if self.max_iter < 1:
@@ -433,7 +390,6 @@ def run_em(
     prev_loglik = None
     ll_warnings = 0
     V_prev = None  # the last E-step's DARE solution warm-starts the next
-    Z0 = np.zeros((ops.n, ops.n))  # read-only filler for the theta-update terms
 
     try:
         for it in range(cfg.max_iter):
@@ -446,38 +402,8 @@ def run_em(
             V_prev = out.V_S_minus
             stats = accumulate_stats(out, P)
 
-            if constraint == SCALAR_IDENTITY:
-                Q_inv = np.eye(ops.n)  # the scalar factor cancels exactly
-            else:
-                Q_inv = constraint_state.inv_matrix()
-            MQM, MQdT = _quadratic_terms(stats, ops, Q_inv, cfg.dtau)
-            partial = ExpectedTerms(
-                sum_dT_dT=Z0,
-                sum_M_Qinv_M=MQM,
-                sum_M_theta_theta_M=Z0,
-                sum_M_Qinv_dT=MQdT,
-                sum_dT_theta_M=Z0,
-                n_k=ops.n_k,
-                n_z=ops.n_z,
-                dtau=cfg.dtau,
-                N=stats.N,
-            )
-            theta_new = update_theta(partial, cond_limit=cfg.cond_limit)
-
-            dTdT = (stats.XX - stats.XZ - stats.XZ.T + stats.ZZ) / cfg.dtau**2
-            MththM, dTthM = _theta_terms(stats, ops, theta_new)
-            full = ExpectedTerms(
-                sum_dT_dT=dTdT,
-                sum_M_Qinv_M=MQM,
-                sum_M_theta_theta_M=MththM,
-                sum_M_Qinv_dT=MQdT,
-                sum_dT_theta_M=dTthM,
-                n_k=ops.n_k,
-                n_z=ops.n_z,
-                dtau=cfg.dtau,
-                N=stats.N,
-            )
-            Q_full = update_Q_full(full)
+            theta_new = update_theta(stats, ops, constraint_state.inv_matrix(), cfg.dtau)
+            Q_full = update_Q_full(stats, ops, theta_new)
             constraint_new = project_constraint(Q_full, constraint_state)
 
             rel = float(
@@ -501,8 +427,8 @@ def run_em(
                 level = logging.WARNING if ll_warnings <= 5 else logging.DEBUG
                 logger.log(
                     level,
-                    "log-likelihood decreased at iteration %d (%.6g -> %.6g); "
-                    "steady-covariance E-step is approximate%s",
+                    "log-likelihood decreased beyond tolerance at iteration %d "
+                    "(%.6g -> %.6g)%s",
                     it,
                     prev_loglik,
                     out.loglik,

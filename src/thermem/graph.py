@@ -1,19 +1,18 @@
 """Directed-graph operators encoding the coupling topology and parameter sharing.
 
 Every ordered adjacency entry of a mesh becomes one directed edge, so edges
-come in reversed pairs and m = 2 * (number of symmetric couplings). The
-incidence matrix J (n x m) carries +1 at an edge's tail and -1 at its head;
-Io is J with +1 replaced by 0, so a conductance on an edge heats/cools the
-head compartment only. Selector matrices map the shared parameter vectors
-onto the graph: C_sel (m x n_k) spreads conductance classes over edges with
-face-area scales, B_sel (n x n_P) places heat-source channels into
-compartments, A_sel (n_P x n_z) maps shared source gains to channels.
+come in reversed pairs and m = 2 * (number of symmetric couplings). A
+conductance on an edge heats or cools the edge's head compartment only. The
+ambient compartment is a boundary condition, T_amb(t+1) = T_amb(t), so no
+edge heats it and its coupling row is zero.
 
-The ambient compartment is a boundary condition: its temperature must evolve
-as T_amb(t+1) = T_amb(t). The dynamics therefore use a variant of Io whose
-ambient row is zeroed (no edge heats the ambient), exposed here as
-``Io_dyn``; the literal Io is kept because structural products such as the
-process-noise support pattern are defined on it.
+In incidence notation the coupling operator is Io_dyn diag(C_sel k) J' and
+the input map is B_sel diag(A_sel z): J (n x m) has +1 at an edge's tail and
+-1 at its head, Io_dyn keeps the -1 entries with the ambient row zeroed,
+C_sel spreads conductance classes over edges with face-area scales, B_sel
+places source channels into compartments and A_sel maps shared gains to
+channels. These matrices are not built; both operators come straight from
+the edge and source arrays.
 """
 
 from __future__ import annotations
@@ -94,12 +93,13 @@ class SharingScheme:
 
 @dataclass(eq=False)
 class GraphOperators:
-    """Incidence and selector matrices of a mesh under a sharing scheme.
+    """Edge and source arrays of a mesh under a sharing scheme.
 
-    Edge arrays (tails, heads, weights, k_class) define the sparse operators;
-    sources are ordered by compartment index. ``coupling_by_class[a]`` is the
-    n x n matrix Io_dyn @ diag(C_sel[:, a]) @ J', so the state matrix is
-    I - dtau * sum_a k_a * coupling_by_class[a].
+    Edge arrays (tails, heads, weights, k_class) define the coupling
+    operators; sources are ordered by compartment index.
+    ``coupling_by_class[a]`` is the n x n matrix S_a whose row h holds
+    w_e (e_h - e_t)' summed over the class-a edges t -> h with a non-ambient
+    head, so the state matrix is I - dtau * sum_a k_a S_a.
     """
 
     n: int
@@ -115,12 +115,6 @@ class GraphOperators:
     src_comp: np.ndarray
     src_scale: np.ndarray
     z_class: np.ndarray
-    J: sp.csr_matrix = field(repr=False, default=None)
-    Io: sp.csr_matrix = field(repr=False, default=None)
-    Io_dyn: sp.csr_matrix = field(repr=False, default=None)
-    C_sel: sp.csr_matrix = field(repr=False, default=None)
-    B_sel: sp.csr_matrix = field(repr=False, default=None)
-    A_sel: sp.csr_matrix = field(repr=False, default=None)
     coupling_by_class: tuple = field(repr=False, default=())
     k_names: tuple = ()
     z_names: tuple = ()
@@ -130,30 +124,26 @@ class GraphOperators:
         return self.n_k + self.n_z
 
     def coupling_sum(self, k: np.ndarray) -> sp.csr_matrix:
-        """Io_dyn @ diag(C_sel @ k) @ J' for a conductance vector k."""
+        """sum_a k_a S_a for a conductance vector k."""
         out = sp.csr_matrix((self.n, self.n))
         for a, S_a in enumerate(self.coupling_by_class):
             out = out + k[a] * S_a
         return out
 
     def source_matrix(self, z: np.ndarray) -> sp.csr_matrix:
-        """B_sel @ diag(A_sel @ z), the n x n_P input map without dtau."""
+        """The n x n_P input map without dtau: channel p feeds its compartment
+        with gain src_scale_p * z[z_class_p]."""
         gains = self.src_scale * z[self.z_class]
         return sp.csr_matrix(
             (gains, (self.src_comp, np.arange(self.n_P))), shape=(self.n, self.n_P)
         )
 
 
-def edge_count(mesh: CompartmentMesh) -> int:
-    """Number of directed edges: two per symmetric coupling pair."""
-    return len(mesh.adjacency)
-
-
 def build_operators(mesh: CompartmentMesh, scheme: SharingScheme) -> GraphOperators:
-    """Assemble J, Io, and the selector matrices for a mesh and scheme."""
+    """Edge and source arrays and per-class coupling matrices for a mesh and scheme."""
     comps = mesh.compartments
     n = mesh.n_compartments
-    m = edge_count(mesh)
+    m = len(mesh.adjacency)  # two directed edges per symmetric coupling pair
     amb = mesh.ambient_index
 
     tails = np.empty(m, dtype=np.int64)
@@ -186,27 +176,7 @@ def build_operators(mesh: CompartmentMesh, scheme: SharingScheme) -> GraphOperat
     if n_P and (np.any(z_class < 0) or np.any(z_class >= scheme.n_z)):
         raise ConfigurationError("source class index out of range")
 
-    edges = np.arange(m)
-    J = sp.csr_matrix(
-        (
-            np.concatenate([np.ones(m), -np.ones(m)]),
-            (np.concatenate([tails, heads]), np.concatenate([edges, edges])),
-        ),
-        shape=(n, m),
-    )
-    Io = sp.csr_matrix((-np.ones(m), (heads, edges)), shape=(n, m))
     active = heads != amb
-    Io_dyn = sp.csr_matrix(
-        (-np.ones(active.sum()), (heads[active], edges[active])), shape=(n, m)
-    )
-    C_sel = sp.csr_matrix((weights, (edges, k_class)), shape=(m, scheme.n_k))
-    B_sel = sp.csr_matrix(
-        (src_scale, (src_comp, np.arange(n_P))), shape=(n, n_P)
-    )
-    A_sel = sp.csr_matrix(
-        (np.ones(n_P), (np.arange(n_P), z_class)), shape=(n_P, scheme.n_z)
-    )
-
     coupling = []
     for a in range(scheme.n_k):
         sel = active & (k_class == a)
@@ -234,12 +204,6 @@ def build_operators(mesh: CompartmentMesh, scheme: SharingScheme) -> GraphOperat
         src_comp=src_comp,
         src_scale=src_scale,
         z_class=z_class,
-        J=J,
-        Io=Io,
-        Io_dyn=Io_dyn,
-        C_sel=C_sel,
-        B_sel=B_sel,
-        A_sel=A_sel,
         coupling_by_class=tuple(coupling),
         k_names=scheme.k_names,
         z_names=scheme.z_names,

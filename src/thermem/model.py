@@ -4,14 +4,16 @@ The one-step update for compartment temperatures is
     T[t+1] = A T[t] + B P[t] + w[t],        w ~ N(0, Q)
     y[t]   = C T[t] + v[t],                 v ~ N(0, R)
 with
-    A = I - dtau * Io_dyn diag(C_sel k) J'
+    A = I - dtau * sum_a k_a S_a            (= I - dtau * Io_dyn diag(C_sel k) J')
     B = dtau * B_sel diag(A_sel z)
-so every row of A sums to one (a uniform temperature offset is preserved)
-and the ambient row is exactly the identity. The same update is linear in
-the parameter vector theta = [k', z']':
+built from the graph operators (see thermem.graph), so every row of A sums
+to one (a uniform temperature offset is preserved) and the ambient row is
+exactly the identity. The same update is linear in the parameter vector
+theta = [k', z']':
     T[t+1] = T[t] + dtau * M[t] theta + w[t]
-where M[t] = [-Io_dyn diag(J' T[t]) C_sel,  B_sel diag(P[t]) A_sel] is the
-per-step regression matrix used by the M-step.
+where M[t] = [-S_1 T[t], ..., -S_nk T[t], B_sel diag(P[t]) A_sel] is the
+per-step regression matrix; the M-step never forms it and works on its
+expected sums (thermem.estimation).
 """
 
 from __future__ import annotations
@@ -153,21 +155,6 @@ def assemble(
         observed=tuple(observed),
         dtau=theta.dtau,
     )
-
-
-def regression_matrix(ops: GraphOperators, T_t: np.ndarray, P_t: np.ndarray) -> np.ndarray:
-    """M_t with k-columns -S_a T_t and z-columns from the source channels.
-
-    Satisfies T_t + dtau * M_t theta == A T_t + B P_t for every theta.
-    """
-    T_t = np.asarray(T_t, dtype=np.float64)
-    P_t = np.asarray(P_t, dtype=np.float64)
-    M = np.zeros((ops.n, ops.n_theta))
-    for a, S_a in enumerate(ops.coupling_by_class):
-        M[:, a] = -(S_a @ T_t)
-    for p in range(ops.n_P):
-        M[ops.src_comp[p], ops.n_k + ops.z_class[p]] += ops.src_scale[p] * P_t[p]
-    return M
 
 
 def _psd_factor(Q: np.ndarray) -> np.ndarray:

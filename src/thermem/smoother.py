@@ -1,16 +1,18 @@
-"""Fixed-interval smoothing: full RTS and the steady-covariance variant.
+"""Steady-covariance fixed-interval (RTS) smoothing and sufficient statistics.
 
-The full smoother runs the textbook two-pass recursion with time-varying
-covariances and is the reference implementation (it also produces the
-sufficient statistics by direct per-step summation, which the fast path is
-tested against). The steady variant replaces every covariance by its
+Every covariance of the textbook two-pass recursion is replaced by its
 stationary limit: the predicted covariance comes from the DARE, the smoothed
 covariance from a discrete Lyapunov equation, and both passes then propagate
 means only, so memory is O(n^2) regardless of the record length.
 
-Both smoothers take the initial state as known (x_1 = T_1) and use the
-steady filtered covariance as the initial covariance. The innovation
-log-likelihood accumulated in the forward pass is the EM progress monitor.
+The smoother takes the initial state as known (x_1 = T_1) and uses the
+steady filtered covariance as the initial covariance, so the forward pass is
+the exact time-varying Kalman filter and the innovation log-likelihood it
+accumulates (the EM progress monitor) is exact. So are the smoothed means.
+Only the sufficient statistics are approximate: the exact backward
+covariance recursion starts from the filtered covariance at the record end
+and relaxes towards the stationary smoothed covariance, which the statistics
+use throughout.
 """
 
 from __future__ import annotations
@@ -55,17 +57,6 @@ class SmootherStats:
     XZ: np.ndarray
     UU: np.ndarray
     N: int
-
-
-@dataclass(eq=False)
-class FullSmootherResult:
-    x_smooth: np.ndarray
-    x_filt: np.ndarray
-    V_smooth: np.ndarray
-    V_filt: np.ndarray
-    V_lag: np.ndarray
-    stats: SmootherStats
-    loglik: float
 
 
 def _check_inputs(model: StateSpaceModel, Y, P, T_1):
@@ -134,96 +125,6 @@ def rtss_steady(model: StateSpaceModel, Y, P, T_1, V0=None) -> SmootherOutput:
         J_S=J_S,
         loglik=loglik,
     )
-
-
-def rtss_full(model: StateSpaceModel, Y, P, T_1, V_1=None) -> FullSmootherResult:
-    """Reference smoother with time-varying covariances and per-step statistics.
-
-    ``V_1`` is the initial filtered covariance; by default the steady filtered
-    covariance is used, matching the steady-state variant's convention.
-    """
-    Y, P_dyn, T_1, N = _check_inputs(model, Y, P, T_1)
-    A, B, C, Q, R = model.A, model.B, model.C, model.Q, model.R
-    n, n_y = model.n, model.n_y
-
-    if V_1 is None:
-        V_minus = solve_dare(DareProblem(A=A, C=C, Q=Q, R=R))
-        S = C @ V_minus @ C.T + R
-        K = np.linalg.solve(S.T, (V_minus @ C.T).T).T
-        V_1 = V_minus - K @ (C @ V_minus)
-    V_1 = np.asarray(V_1, dtype=np.float64)
-
-    x_filt = np.empty((N, n))
-    x_pred = np.empty((N - 1, n))
-    V_filt = np.empty((N, n, n))
-    V_pred = np.empty((N - 1, n, n))
-    x_filt[0] = T_1
-    V_filt[0] = (V_1 + V_1.T) / 2
-    loglik = 0.0
-
-    for t in range(N - 1):
-        x_pred[t] = A @ x_filt[t] + B @ P_dyn[t]
-        Vp = A @ V_filt[t] @ A.T + Q
-        V_pred[t] = (Vp + Vp.T) / 2
-        S = C @ V_pred[t] @ C.T + R
-        try:
-            cho = sla.cho_factor(S, lower=True)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"innovation covariance not SPD at step {t}: {exc}") from exc
-        K = sla.cho_solve(cho, C @ V_pred[t]).T
-        e = Y[t + 1] - C @ x_pred[t]
-        x_filt[t + 1] = x_pred[t] + K @ e
-        Vf = V_pred[t] - K @ (C @ V_pred[t])
-        V_filt[t + 1] = (Vf + Vf.T) / 2
-        logdet = 2.0 * float(np.sum(np.log(np.diag(cho[0]))))
-        loglik += -0.5 * (float(e @ sla.cho_solve(cho, e)) + logdet + n_y * np.log(2.0 * np.pi))
-
-    x_smooth = np.empty_like(x_filt)
-    V_smooth = np.empty_like(V_filt)
-    V_lag = np.empty((N - 1, n, n))
-    x_smooth[N - 1] = x_filt[N - 1]
-    V_smooth[N - 1] = V_filt[N - 1]
-    for t in range(N - 2, -1, -1):
-        try:
-            J_t = np.linalg.solve(V_pred[t], (V_filt[t] @ A.T).T).T
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"predicted covariance singular at step {t}: {exc}") from exc
-        Vs = V_filt[t] + J_t @ (V_smooth[t + 1] - V_pred[t]) @ J_t.T
-        V_smooth[t] = (Vs + Vs.T) / 2
-        V_lag[t] = V_smooth[t + 1] @ J_t.T
-        x_smooth[t] = x_filt[t] + J_t @ (x_smooth[t + 1] - x_pred[t])
-
-    stats = _stats_from_full(x_smooth, V_smooth, V_lag, P_dyn)
-    return FullSmootherResult(
-        x_smooth=x_smooth,
-        x_filt=x_filt,
-        V_smooth=V_smooth,
-        V_filt=V_filt,
-        V_lag=V_lag,
-        stats=stats,
-        loglik=loglik,
-    )
-
-
-def _stats_from_full(x_smooth, V_smooth, V_lag, P_dyn) -> SmootherStats:
-    """Direct time-varying summation of the sufficient statistics."""
-    N, n = x_smooth.shape
-    n_P = P_dyn.shape[1]
-    XX = np.zeros((n, n))
-    ZZ = np.zeros((n, n))
-    XZ = np.zeros((n, n))
-    XU = np.zeros((n, n_P))
-    ZU = np.zeros((n, n_P))
-    UU = np.zeros((n_P, n_P))
-    for t in range(N - 1):
-        XX += V_smooth[t] + np.outer(x_smooth[t], x_smooth[t])
-        ZZ += V_smooth[t + 1] + np.outer(x_smooth[t + 1], x_smooth[t + 1])
-        # E{T_t T_{t+1}'} = (V_{t+1,t})' + x_t x_{t+1}'
-        XZ += V_lag[t].T + np.outer(x_smooth[t], x_smooth[t + 1])
-        XU += np.outer(x_smooth[t], P_dyn[t])
-        ZU += np.outer(x_smooth[t + 1], P_dyn[t])
-        UU += np.outer(P_dyn[t], P_dyn[t])
-    return SmootherStats(XX=XX, XU=XU, ZZ=ZZ, ZU=ZU, XZ=XZ, UU=UU, N=N)
 
 
 def accumulate_stats(out: SmootherOutput, P) -> SmootherStats:

@@ -3,10 +3,20 @@
 Everything here is deliberately written as plain per-step/per-edge loops over
 dense arrays, re-deriving the operator structure from the mesh adjacency and
 scheme directly, so the statistics-based fast paths in the package are checked
-against a genuinely different computation.
+against a genuinely different computation. ``rtss_full`` is the textbook RTS
+smoother with time-varying covariances that the steady smoother is checked
+against.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
+import scipy.linalg as sla
+
+from thermem.errors import NumericalError
+from thermem.model import StateSpaceModel
+from thermem.smoother import SmootherStats, _check_inputs
+from thermem.solvers import DareProblem, solve_dare
 
 
 def dense_structure(mesh, scheme):
@@ -150,3 +160,104 @@ def smooth_loop(A, B, J, Xf, P):
 def savetxt_12g(path, header, data):
     """Reference for thermem.io's CSV writer: np.savetxt at %.12g."""
     np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.12g")
+
+
+@dataclass(eq=False)
+class FullSmootherResult:
+    x_smooth: np.ndarray
+    x_filt: np.ndarray
+    V_smooth: np.ndarray
+    V_filt: np.ndarray
+    V_lag: np.ndarray
+    stats: SmootherStats
+    loglik: float
+
+
+def rtss_full(model: StateSpaceModel, Y, P, T_1, V_1=None) -> FullSmootherResult:
+    """Reference smoother with time-varying covariances and per-step statistics.
+
+    ``V_1`` is the initial filtered covariance; by default the steady filtered
+    covariance is used, matching the steady-state variant's convention.
+    """
+    Y, P_dyn, T_1, N = _check_inputs(model, Y, P, T_1)
+    A, B, C, Q, R = model.A, model.B, model.C, model.Q, model.R
+    n, n_y = model.n, model.n_y
+
+    if V_1 is None:
+        V_minus = solve_dare(DareProblem(A=A, C=C, Q=Q, R=R))
+        S = C @ V_minus @ C.T + R
+        K = np.linalg.solve(S.T, (V_minus @ C.T).T).T
+        V_1 = V_minus - K @ (C @ V_minus)
+    V_1 = np.asarray(V_1, dtype=np.float64)
+
+    x_filt = np.empty((N, n))
+    x_pred = np.empty((N - 1, n))
+    V_filt = np.empty((N, n, n))
+    V_pred = np.empty((N - 1, n, n))
+    x_filt[0] = T_1
+    V_filt[0] = (V_1 + V_1.T) / 2
+    loglik = 0.0
+
+    for t in range(N - 1):
+        x_pred[t] = A @ x_filt[t] + B @ P_dyn[t]
+        Vp = A @ V_filt[t] @ A.T + Q
+        V_pred[t] = (Vp + Vp.T) / 2
+        S = C @ V_pred[t] @ C.T + R
+        try:
+            cho = sla.cho_factor(S, lower=True)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"innovation covariance not SPD at step {t}: {exc}") from exc
+        K = sla.cho_solve(cho, C @ V_pred[t]).T
+        e = Y[t + 1] - C @ x_pred[t]
+        x_filt[t + 1] = x_pred[t] + K @ e
+        Vf = V_pred[t] - K @ (C @ V_pred[t])
+        V_filt[t + 1] = (Vf + Vf.T) / 2
+        logdet = 2.0 * float(np.sum(np.log(np.diag(cho[0]))))
+        loglik += -0.5 * (float(e @ sla.cho_solve(cho, e)) + logdet + n_y * np.log(2.0 * np.pi))
+
+    x_smooth = np.empty_like(x_filt)
+    V_smooth = np.empty_like(V_filt)
+    V_lag = np.empty((N - 1, n, n))
+    x_smooth[N - 1] = x_filt[N - 1]
+    V_smooth[N - 1] = V_filt[N - 1]
+    for t in range(N - 2, -1, -1):
+        try:
+            J_t = np.linalg.solve(V_pred[t], (V_filt[t] @ A.T).T).T
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"predicted covariance singular at step {t}: {exc}") from exc
+        Vs = V_filt[t] + J_t @ (V_smooth[t + 1] - V_pred[t]) @ J_t.T
+        V_smooth[t] = (Vs + Vs.T) / 2
+        V_lag[t] = V_smooth[t + 1] @ J_t.T
+        x_smooth[t] = x_filt[t] + J_t @ (x_smooth[t + 1] - x_pred[t])
+
+    stats = _stats_from_full(x_smooth, V_smooth, V_lag, P_dyn)
+    return FullSmootherResult(
+        x_smooth=x_smooth,
+        x_filt=x_filt,
+        V_smooth=V_smooth,
+        V_filt=V_filt,
+        V_lag=V_lag,
+        stats=stats,
+        loglik=loglik,
+    )
+
+
+def _stats_from_full(x_smooth, V_smooth, V_lag, P_dyn) -> SmootherStats:
+    """Direct time-varying summation of the sufficient statistics."""
+    N, n = x_smooth.shape
+    n_P = P_dyn.shape[1]
+    XX = np.zeros((n, n))
+    ZZ = np.zeros((n, n))
+    XZ = np.zeros((n, n))
+    XU = np.zeros((n, n_P))
+    ZU = np.zeros((n, n_P))
+    UU = np.zeros((n_P, n_P))
+    for t in range(N - 1):
+        XX += V_smooth[t] + np.outer(x_smooth[t], x_smooth[t])
+        ZZ += V_smooth[t + 1] + np.outer(x_smooth[t + 1], x_smooth[t + 1])
+        # E{T_t T_{t+1}'} = (V_{t+1,t})' + x_t x_{t+1}'
+        XZ += V_lag[t].T + np.outer(x_smooth[t], x_smooth[t + 1])
+        XU += np.outer(x_smooth[t], P_dyn[t])
+        ZU += np.outer(x_smooth[t + 1], P_dyn[t])
+        UU += np.outer(P_dyn[t], P_dyn[t])
+    return SmootherStats(XX=XX, XU=XU, ZZ=ZZ, ZU=ZU, XZ=XZ, UU=UU, N=N)

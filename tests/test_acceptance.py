@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from _oracles import bruteforce_terms
+from _oracles import bruteforce_terms, dense_M, dense_structure, rtss_full
 from thermem.datagen import (
     STRONG_K_TRUE,
     NoiseSpec,
@@ -25,7 +25,8 @@ from thermem.datagen import (
 from thermem.estimation import (
     CovarianceConstraint,
     EmConfig,
-    expected_terms,
+    _quadratic_terms,
+    _theta_terms,
     project_constraint,
     run_em,
     update_theta,
@@ -33,15 +34,15 @@ from thermem.estimation import (
 from thermem.graph import SharingScheme, build_operators
 from thermem.mesh import build_grid
 from thermem.model import (
+    StateSpaceModel,
     ThetaParams,
     Trajectory,
     assemble,
     initial_state_from_observation,
     predict,
-    regression_matrix,
     simulate,
 )
-from thermem.smoother import accumulate_stats, rtss_full, rtss_steady
+from thermem.smoother import accumulate_stats, rtss_steady
 from thermem.solvers import (
     DareProblem,
     DlyapProblem,
@@ -208,23 +209,26 @@ def test_criterion_3b_diagonal_constraint_split(reduced, weak_truth_noisy):
     assert 1e-2 / 3 < np.median(q[uninformed]) < 3e-2
 
 
-def test_criterion_4_smoother_equivalence():
-    """Steady vs full RTSS means within 1e-4 after 50-step burn-in."""
+def criterion_4_system(N):
+    """A random stable 10-state system and a simulated record of N steps."""
     rng = np.random.default_rng(42)
-    n, n_y, n_P, N = 10, 3, 2, 2000
+    n, n_y, n_P = 10, 3, 2
     A = rng.normal(size=(n, n))
     A *= 0.92 / np.max(np.abs(np.linalg.eigvals(A)))
     B = rng.normal(size=(n, n_P))
     C = np.zeros((n_y, n))
     C[np.arange(n_y), rng.permutation(n)[:n_y]] = 1.0
-    from thermem.model import StateSpaceModel
-
     model = StateSpaceModel(
         A=A, B=B, C=C, Q=1e-3 * np.eye(n), R=1e-4 * np.eye(n_y),
         observed=tuple(range(n_y)),
     )
     P = rng.uniform(0, 1, (N, n_P))
-    traj = simulate(model, rng.normal(size=n), P, seed=1)
+    return model, simulate(model, rng.normal(size=n), P, seed=1)
+
+
+def test_criterion_4_smoother_equivalence():
+    """Steady vs full RTSS means within 1e-4 after 50-step burn-in."""
+    model, traj = criterion_4_system(2000)
     full = rtss_full(model, traj.y, traj.P, traj.T[0])
     steady = rtss_steady(model, traj.y, traj.P, traj.T[0])
     diff = np.abs(full.x_smooth - steady.x_smooth)[50:].max()
@@ -233,6 +237,61 @@ def test_criterion_4_smoother_equivalence():
         f"{diff:.2e} after burn-in (bound 1e-4, 10 states, N=2000)"
     )
     assert diff < 1e-4
+
+
+@pytest.mark.parametrize("system", ["random", "thermal"])
+def test_steady_estep_exact_up_to_end_of_record_term(reduced, system):
+    """Steady statistics plus the end-of-record term equal rtss_full's.
+
+    Both smoothers start from the steady filtered covariance V+, so the full
+    filter stays stationary and its smoothed covariance is V_S^N + D_t with
+    D_t = J_S^(N-1-t) (V+ - V_S^N) J_S'^(N-1-t): the backward recursion
+    starts from V+ at the record end and relaxes to V_S^N.
+    """
+    N = 600
+    if system == "random":
+        model, traj = criterion_4_system(N)
+    else:
+        spec, mesh, weak, strong = reduced
+        traj, _ = generate_dataset(
+            mesh, strong, strong_theta(spec), NoiseSpec.AAt(1e-4), N, seed=5, spec=spec
+        )
+        observed = [c.index for c in mesh.compartments if c.observed]
+        model = assemble(
+            build_operators(mesh, strong), strong_theta(spec), observed,
+            Q=1e-4, R=spec.meas_var,
+        )
+    full = rtss_full(model, traj.y, traj.P, traj.T[0])
+    steady = rtss_steady(model, traj.y, traj.P, traj.T[0])
+    stats = accumulate_stats(steady, traj.P)
+
+    J = steady.J_S
+    D = steady.V_S_plus - steady.V_S_N  # D_{N-1}
+    dXX, dZZ, dXZ = np.zeros_like(D), D.copy(), np.zeros_like(D)
+    for t in range(N - 2, -1, -1):
+        dXZ += J @ D  # J_S D_{t+1}
+        D = J @ D @ J.T
+        dXX += D
+        if t > 0:
+            dZZ += D
+
+    def gap(corrected):
+        pairs = [(stats.XX, dXX, full.stats.XX), (stats.ZZ, dZZ, full.stats.ZZ),
+                 (stats.XZ, dXZ, full.stats.XZ)]
+        return max(
+            np.abs(g + corrected * d - r).max() / np.abs(r).max() for g, d, r in pairs
+        )
+
+    exact, uncorrected = gap(True), gap(False)
+    ll_err = abs(steady.loglik - full.loglik) / abs(full.loglik)
+    print(
+        f"STEADY E-STEP [{system}]: statistics gap {exact:.1e} with the end-of-record "
+        f"term, {uncorrected:.1e} without; log-likelihood {ll_err:.1e} (bounds 1e-12)"
+    )
+    assert exact < 1e-12
+    assert ll_err < 1e-12
+    if system == "random":
+        assert uncorrected > 1e-10
 
 
 def test_criterion_5_solver_residuals():
@@ -307,12 +366,12 @@ def test_criterion_6_appendix_oracle_equivalence():
         theta_eval = ThetaParams(k=rng.uniform(0.01, 0.1, 2), z=rng.uniform(0.1, 1.0, 1))
         Mq = rng.normal(size=(ops.n, ops.n))
         Q_inv = np.linalg.inv(Mq @ Mq.T / ops.n + np.eye(ops.n))
-        terms = expected_terms(stats, ops, Q_inv, theta_eval)
+        MQM, MQdT = _quadratic_terms(stats, ops, Q_inv, theta_eval.dtau)
+        dTdT, MththM, dTthM = _theta_terms(stats, ops, theta_eval)
         ref = bruteforce_terms(
             mesh, scheme, out.x_smooth, traj.P, Q_inv, theta_eval, V=V, J_S=J_S
         )
-        got = (terms.sum_dT_dT, terms.sum_M_Qinv_M, terms.sum_M_theta_theta_M,
-               terms.sum_M_Qinv_dT, terms.sum_dT_theta_M)
+        got = (dTdT, MQM, MththM, MQdT, dTthM)
         for g, r in zip(got, ref):
             rel = np.abs(g - r).max() / max(1.0, np.abs(r).max())
             worst = max(worst, rel)
@@ -345,11 +404,12 @@ def test_criterion_7_structural_invariants(reduced):
     off_err = np.abs(shifted.T - base.T - 3.25).max()
     assert off_err < 1e-9
 
+    S_list, src = dense_structure(mesh, weak)
     reg_err = 0.0
     for _ in range(3):
         T_t = rng.normal(25, 4, ops.n)
         P_t = rng.uniform(0, 2, ops.n_P)
-        M_t = regression_matrix(ops, T_t, P_t)
+        M_t = dense_M(S_list, src, ops.n_k, ops.n_z, T_t, P_t)
         lhs = T_t + theta.dtau * M_t @ theta.vector
         rhs = model.A @ T_t + model.B @ P_t
         reg_err = max(reg_err, np.abs(lhs - rhs).max())
@@ -370,8 +430,8 @@ def test_criterion_7_structural_invariants(reduced):
         XX=X[:-1].T @ X[:-1], XU=X[:-1].T @ P_s[:-1], ZZ=X[1:].T @ X[1:],
         ZU=X[1:].T @ P_s[:-1], XZ=X[:-1].T @ X[1:], UU=P_s[:-1].T @ P_s[:-1], N=traj.N,
     )
-    t_a = update_theta(expected_terms(stats, ops_s, np.eye(ops_s.n), theta_s))
-    t_b = update_theta(expected_terms(stats, ops_s, np.eye(ops_s.n) / 7.0, theta_s))
+    t_a = update_theta(stats, ops_s, np.eye(ops_s.n), theta_s.dtau)
+    t_b = update_theta(stats, ops_s, np.eye(ops_s.n) / 7.0, theta_s.dtau)
     q_inv_err = np.abs(t_a.vector - t_b.vector).max() / np.abs(t_a.vector).max()
     assert q_inv_err < 1e-12
 
@@ -417,9 +477,10 @@ def test_criterion_8_full_observation_ols_equivalence():
     cfg = EmConfig(max_iter=1, theta_init=1e-2, q_init=q_known, R=1e-15)
     theta_em, _, trace = run_em(mesh, scheme, traj, cfg, constraint="scalar_identity")
 
+    S_list, src = dense_structure(mesh, scheme)
     rows_M, rows_d = [], []
     for t in range(traj.N - 1):
-        rows_M.append(regression_matrix(ops, traj.y[t], traj.P[t]))
+        rows_M.append(dense_M(S_list, src, ops.n_k, ops.n_z, traj.y[t], traj.P[t]))
         rows_d.append(traj.y[t + 1] - traj.y[t])
     theta_ols, *_ = np.linalg.lstsq(np.vstack(rows_M), np.concatenate(rows_d), rcond=None)
 

@@ -5,13 +5,14 @@ import logging
 import numpy as np
 import pytest
 
-from _oracles import bruteforce_terms
+from _oracles import bruteforce_terms, dense_M, dense_structure
 from thermem.errors import ConfigurationError, IdentifiabilityError
 from thermem.estimation import (
     CovarianceConstraint,
     EmConfig,
+    _quadratic_terms,
+    _theta_terms,
     build_L,
-    expected_terms,
     project_constraint,
     run_em,
     update_Q_full,
@@ -55,14 +56,18 @@ def stats_from_run(mesh, scheme, ops, rng, N=30, q=1e-3, r=1e-5):
     return out, traj, theta_true
 
 
+def aggregates(stats, ops, Q_inv, theta):
+    """The five Appendix aggregates in bruteforce_terms' order."""
+    MQM, MQdT = _quadratic_terms(stats, ops, Q_inv, theta.dtau)
+    dTdT, MththM, dTthM = _theta_terms(stats, ops, theta)
+    return dTdT, MQM, MththM, MQdT, dTthM
+
+
 def test_expected_terms_zero_stats_give_zero():
     mesh, scheme, ops, _ = small_setup()
     theta = ThetaParams(k=[0.1, 0.1], z=[0.5])
-    terms = expected_terms(zero_stats(ops.n, ops.n_P), ops, np.eye(ops.n), theta)
-    for M in (terms.sum_dT_dT, terms.sum_M_Qinv_M, terms.sum_M_theta_theta_M,
-              terms.sum_dT_theta_M):
+    for M in aggregates(zero_stats(ops.n, ops.n_P), ops, np.eye(ops.n), theta):
         assert not np.any(M)
-    assert not np.any(terms.sum_M_Qinv_dT)
 
 
 @pytest.mark.parametrize("with_cov", [False, True])
@@ -82,11 +87,9 @@ def test_expected_terms_match_bruteforce(with_cov):
         fake.J_S = np.zeros((ops.n, ops.n))
         stats = accumulate_stats(fake, traj.P)
 
-    terms = expected_terms(stats, ops, Q_inv, theta)
+    got = aggregates(stats, ops, Q_inv, theta)
     ref = bruteforce_terms(mesh, scheme, x, traj.P, Q_inv, theta, V=V, J_S=J_S)
     names = ("dTdT", "MQM", "MththM", "MQdT", "dTthM")
-    got = (terms.sum_dT_dT, terms.sum_M_Qinv_M, terms.sum_M_theta_theta_M,
-           terms.sum_M_Qinv_dT, terms.sum_dT_theta_M)
     for name, g, r_ in zip(names, got, ref):
         scale = max(1.0, np.max(np.abs(r_)))
         np.testing.assert_allclose(g, r_, atol=1e-10 * scale, err_msg=name)
@@ -97,18 +100,17 @@ def test_dTdT_assembles_from_stats_directly():
     out, traj, _ = stats_from_run(mesh, scheme, ops, rng)
     stats = accumulate_stats(out, traj.P)
     theta = ThetaParams(k=[0.05, 0.02], z=[0.2], dtau=2.0)
-    terms = expected_terms(stats, ops, np.eye(ops.n), theta)
+    dTdT = _theta_terms(stats, ops, theta)[0]
     direct = (stats.XX - stats.XZ - stats.XZ.T + stats.ZZ) / theta.dtau**2
-    np.testing.assert_allclose(terms.sum_dT_dT, direct, atol=1e-12)
+    np.testing.assert_allclose(dTdT, direct, atol=1e-12)
 
 
 def test_update_theta_scalar_identity_invariant_to_q():
     mesh, scheme, ops, rng = small_setup(seed=7)
     out, traj, _ = stats_from_run(mesh, scheme, ops, rng)
     stats = accumulate_stats(out, traj.P)
-    theta0 = ThetaParams(k=[0.05, 0.05], z=[0.3])
-    t1 = update_theta(expected_terms(stats, ops, np.eye(ops.n) / 1.0, theta0))
-    t5 = update_theta(expected_terms(stats, ops, np.eye(ops.n) / 5.0, theta0))
+    t1 = update_theta(stats, ops, np.eye(ops.n) / 1.0, 1.0)
+    t5 = update_theta(stats, ops, np.eye(ops.n) / 5.0, 1.0)
     np.testing.assert_allclose(t1.vector, t5.vector, rtol=1e-12)
 
 
@@ -126,10 +128,9 @@ def test_update_theta_single_edge_exact_recovery():
     # Exact states: plain per-step least squares on dT = M theta.
     rows_M = []
     rows_d = []
-    from thermem.model import regression_matrix
-
+    S_list, src = dense_structure(mesh, scheme)
     for t in range(traj.N - 1):
-        rows_M.append(regression_matrix(ops, traj.T[t], traj.P[t]))
+        rows_M.append(dense_M(S_list, src, ops.n_k, ops.n_z, traj.T[t], traj.P[t]))
         rows_d.append(traj.T[t + 1] - traj.T[t])
     Mbig = np.vstack(rows_M)
     dbig = np.concatenate(rows_d)
@@ -141,7 +142,7 @@ def test_update_theta_single_edge_exact_recovery():
         ZU=X[1:].T @ P[:-1], XZ=X[:-1].T @ X[1:], UU=P[:-1].T @ P[:-1],
         N=traj.N,
     )
-    theta = update_theta(expected_terms(stats, ops, np.eye(ops.n), theta_true))
+    theta = update_theta(stats, ops, np.eye(ops.n), theta_true.dtau)
     np.testing.assert_allclose(theta.vector, ref, atol=1e-8)
     np.testing.assert_allclose(theta.k[0], k_true, atol=1e-8)
     np.testing.assert_allclose(theta.z[0], z_true, atol=1e-8)
@@ -149,11 +150,8 @@ def test_update_theta_single_edge_exact_recovery():
 
 def test_update_theta_names_null_space():
     mesh, scheme, ops, _ = small_setup()
-    terms = expected_terms(
-        zero_stats(ops.n, ops.n_P), ops, np.eye(ops.n), ThetaParams(k=[0.1, 0.1], z=[0.1])
-    )
     with pytest.raises(IdentifiabilityError) as err:
-        update_theta(terms)
+        update_theta(zero_stats(ops.n, ops.n_P), ops, np.eye(ops.n), 1.0)
     assert err.value.null_indices
 
 
@@ -170,7 +168,7 @@ def test_update_Q_full_perfect_fit_is_zero():
         ZU=X[1:].T @ P[:-1], XZ=X[:-1].T @ X[1:], UU=P[:-1].T @ P[:-1],
         N=traj.N,
     )
-    Q_full = update_Q_full(expected_terms(stats, ops, np.eye(ops.n), theta))
+    Q_full = update_Q_full(stats, ops, theta)
     # Zero up to float cancellation of the O(T^2 N) statistic magnitudes.
     np.testing.assert_allclose(Q_full, 0.0, atol=1e-12 * np.abs(stats.XX).max())
 
@@ -190,7 +188,7 @@ def test_update_Q_full_recovers_noise_scale():
         ZU=X[1:].T @ P[:-1], XZ=X[:-1].T @ X[1:], UU=P[:-1].T @ P[:-1],
         N=traj.N,
     )
-    Q_full = update_Q_full(expected_terms(stats, ops, np.eye(ops.n), theta))
+    Q_full = update_Q_full(stats, ops, theta)
     assert np.trace(Q_full) / ops.n == pytest.approx(sigma2, rel=0.2)
 
 
@@ -207,13 +205,13 @@ def test_update_Q_full_matches_residual_outer_products():
         ZU=X[1:].T @ P[:-1], XZ=X[:-1].T @ X[1:], UU=P[:-1].T @ P[:-1],
         N=traj.N,
     )
-    Q_full = update_Q_full(expected_terms(stats, ops, np.eye(ops.n), theta))
+    Q_full = update_Q_full(stats, ops, theta)
 
-    from thermem.model import regression_matrix
-
+    S_list, src = dense_structure(mesh, scheme)
     ref = np.zeros((ops.n, ops.n))
     for t in range(traj.N - 1):
-        resid = traj.T[t + 1] - traj.T[t] - regression_matrix(ops, traj.T[t], P[t]) @ theta.vector
+        M_t = dense_M(S_list, src, ops.n_k, ops.n_z, traj.T[t], P[t])
+        resid = traj.T[t + 1] - traj.T[t] - M_t @ theta.vector
         ref += np.outer(resid, resid)
     ref /= traj.N - 1
     np.testing.assert_allclose(Q_full, ref, atol=1e-12 * max(1, np.abs(ref).max()))
@@ -277,8 +275,6 @@ def test_build_L_two_node_example():
 
 
 def test_build_L_no_edges_is_zero():
-    import scipy.sparse as sp
-
     from thermem.graph import GraphOperators
 
     empty = GraphOperators(
@@ -287,11 +283,17 @@ def test_build_L_no_edges_is_zero():
         weights=np.zeros(0), k_class=np.zeros(0, dtype=int),
         src_comp=np.zeros(0, dtype=int), src_scale=np.zeros(0),
         z_class=np.zeros(0, dtype=int),
-        J=sp.csr_matrix((3, 0)), Io=sp.csr_matrix((3, 0)),
-        Io_dyn=sp.csr_matrix((3, 0)), C_sel=sp.csr_matrix((0, 0)),
-        B_sel=sp.csr_matrix((3, 0)), A_sel=sp.csr_matrix((0, 0)),
     )
     np.testing.assert_array_equal(build_L(empty), np.zeros((3, 3)))
+
+
+def test_build_L_matches_per_edge_loop():
+    mesh, scheme, ops, _ = small_setup(3, 2, 2)
+    ref = np.zeros((ops.n, ops.n))
+    for (i, j, w) in mesh.adjacency:  # edge i -> j marks (j, j) and (j, i)
+        ref[j, j] = ref[j, i] = 1.0
+    ref[:, mesh.ambient_index] = 0.0
+    np.testing.assert_array_equal(build_L(ops), ref)
 
 
 def test_build_L_pattern_within_A_pattern():

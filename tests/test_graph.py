@@ -1,11 +1,13 @@
-"""Incidence/selector operator assembly."""
+"""Graph operator assembly: edge arrays, coupling matrices, source map."""
 
 import numpy as np
 import pytest
 
+from _oracles import dense_structure
 from thermem.errors import ConfigurationError
-from thermem.graph import SharingScheme, build_operators, edge_count
-from thermem.mesh import build_grid
+from thermem.graph import SharingScheme, build_operators
+from thermem.mesh import build_grid, refine
+from thermem.model import ThetaParams, assemble
 
 
 def single_class_scheme():
@@ -17,77 +19,47 @@ def single_class_scheme():
     )
 
 
-def test_two_node_incidence_and_selector():
-    m = build_grid(1, 1, 1)  # one cell + ambient, one coupling pair
-    ops = build_operators(m, single_class_scheme())
-    assert (ops.n, ops.m, ops.n_k) == (2, 2, 1)
-    J = ops.J.toarray()
-    assert J.tolist() == [[1.0, -1.0], [-1.0, 1.0]]
-    assert ops.C_sel.toarray().tolist() == [[1.0], [1.0]]
-    # Io is J with +1 -> 0; the dynamics variant also drops the ambient head.
-    assert ops.Io.toarray().tolist() == [[0.0, -1.0], [-1.0, 0.0]]
-    assert ops.Io_dyn.toarray().tolist() == [[0.0, -1.0], [0.0, 0.0]]
+@pytest.mark.parametrize(
+    "shape, refined",
+    [((1, 1, 1), False), ((2, 2, 2), False), ((3, 3, 2), True)],
+    ids=["two-node", "2x2x2", "refined-3x3x2"],
+)
+def test_assemble_matches_dense_structure(shape, refined):
+    mesh = build_grid(*shape, role_map=lambda ix, iy, layer: "IGBT" if layer == 1 else "copper")
+    if refined:
+        mesh = refine(mesh, mesh.indices(layer=1)[4])
+    scheme = SharingScheme.from_tables(
+        node_group=lambda c: "ambient" if c.is_ambient else "cell",
+        k_table={("cell", "cell"): 0, ("ambient", "cell"): 1},
+        z_table={"cell": 0},
+    )
+    S_list, src = dense_structure(mesh, scheme)
+    rng = np.random.default_rng(1)
+    theta = ThetaParams(k=rng.uniform(0.01, 0.05, 2), z=rng.uniform(0.1, 1.0, 1), dtau=0.7)
+    model = assemble(build_operators(mesh, scheme), theta, observed=[mesh.ambient_index])
+    A_ref = np.eye(mesh.n_compartments) - theta.dtau * sum(
+        k_a * S_a for k_a, S_a in zip(theta.k, S_list)
+    )
+    B_ref = np.zeros((mesh.n_compartments, len(src)))
+    for p, (comp, scale, zc) in enumerate(src):
+        B_ref[comp, p] = theta.dtau * scale * theta.z[zc]
+    np.testing.assert_allclose(model.A, A_ref, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(model.B, B_ref, rtol=0, atol=1e-14)
 
 
 def test_edge_count_examples():
-    assert edge_count(build_grid(1, 1, 1)) == 2
-    assert edge_count(build_grid(2, 2, 1)) == 16  # 8 pairs
-
-
-def test_column_sums_of_J_vanish():
-    m = build_grid(3, 2, 2)
-    ops = build_operators(m, single_class_scheme())
-    col_sums = np.asarray(ops.J.sum(axis=0)).ravel()
-    assert np.all(col_sums == 0)
-
-
-def test_io_is_negative_part_of_J():
-    m = build_grid(2, 2, 2)
-    ops = build_operators(m, single_class_scheme())
-    J = ops.J.toarray()
-    assert np.array_equal(ops.Io.toarray(), (J - np.abs(J)) / 2)
-    # Io_dyn differs from Io exactly on the ambient row.
-    diff = ops.Io.toarray() - ops.Io_dyn.toarray()
-    assert np.all(diff[: ops.ambient_index] == 0)
+    assert build_operators(build_grid(1, 1, 1), single_class_scheme()).m == 2
+    assert build_operators(build_grid(2, 2, 1), single_class_scheme()).m == 16  # 8 pairs
 
 
 def test_reversed_edges_share_scale_and_class():
     m = build_grid(3, 3, 2)
-    r = m.indices(layer=1)[4]
-    from thermem.mesh import refine
-
-    m = refine(m, r)
+    m = refine(m, m.indices(layer=1)[4])
     ops = build_operators(m, single_class_scheme())
     pairs = {(t, h): (w, c) for t, h, w, c in zip(ops.tails, ops.heads, ops.weights, ops.k_class)}
     for (t, h), (w, c) in pairs.items():
         w2, c2 = pairs[(h, t)]
         assert w2 == w and c2 == c
-
-
-def test_selector_rows_have_single_positive_entry():
-    m = build_grid(2, 2, 2, role_map=lambda ix, iy, layer: "IGBT" if layer == 1 else "copper")
-    scheme = SharingScheme.from_tables(
-        node_group=lambda c: c.role,
-        k_table={
-            ("IGBT", "IGBT"): 0,
-            ("IGBT", "copper"): 1,
-            ("copper", "copper"): 2,
-            ("ambient", "copper"): 3,
-        },
-        z_table={"IGBT": 0},
-    )
-    ops = build_operators(m, scheme)
-    for mat in (ops.C_sel, ops.A_sel):
-        arr = mat.toarray()
-        assert np.all((arr != 0).sum(axis=1) == 1)
-        assert np.all(arr[arr != 0] > 0)
-    # B_sel rows are one-hot for source compartments and zero elsewhere
-    # (a compartment without a source has no input channel to select).
-    b = ops.B_sel.toarray()
-    assert np.all((b != 0).sum(axis=0) == 1)  # one compartment per channel
-    assert np.all((b != 0).sum(axis=1) <= 1)
-    assert np.all(b[b != 0] > 0)
-    assert ops.n_P == 4  # the IGBT layer carries the sources
 
 
 def test_uncovered_pair_raises_named_configuration_error():

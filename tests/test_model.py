@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from _oracles import dense_M, dense_structure
 from thermem.errors import DivergenceError, StabilityError
 from thermem.graph import SharingScheme, build_operators
 from thermem.mesh import build_grid
@@ -14,7 +15,6 @@ from thermem.model import (
     assemble,
     initial_state_from_observation,
     predict,
-    regression_matrix,
     simulate,
 )
 
@@ -31,8 +31,7 @@ def pair_mesh_ops():
     return m, build_operators(m, scheme)
 
 
-def rand_ops(nx=2, ny=2, nz=2, n_roles=2, seed=0):
-    rng = np.random.default_rng(seed)
+def rand_mesh_scheme(nx=2, ny=2, nz=2, n_roles=2):
     roles = ["copper", "substrate"][:n_roles]
     m = build_grid(
         nx, ny, nz,
@@ -50,7 +49,12 @@ def rand_ops(nx=2, ny=2, nz=2, n_roles=2, seed=0):
         k_table=k_table,
         z_table=z_table,
     )
-    return m, build_operators(m, scheme), rng
+    return m, scheme
+
+
+def rand_ops(nx=2, ny=2, nz=2, n_roles=2, seed=0):
+    m, scheme = rand_mesh_scheme(nx, ny, nz, n_roles)
+    return m, build_operators(m, scheme), np.random.default_rng(seed)
 
 
 def test_assemble_two_compartments_matches_hand_matrix():
@@ -90,7 +94,10 @@ def test_assemble_rejects_unstable_step():
 
 
 def test_regression_identity_random_instances():
-    m, ops, rng = rand_ops(2, 2, 2, seed=1)
+    m, scheme = rand_mesh_scheme(2, 2, 2)
+    ops = build_operators(m, scheme)
+    S_list, src = dense_structure(m, scheme)
+    rng = np.random.default_rng(1)
     for trial in range(5):
         k = rng.uniform(0.0, 0.05, ops.n_k)
         z = rng.uniform(0.0, 1.0, ops.n_z)
@@ -98,17 +105,19 @@ def test_regression_identity_random_instances():
         model = assemble(ops, theta, observed=[0])
         T_t = rng.normal(25.0, 5.0, ops.n)
         P_t = rng.uniform(0.0, 3.0, ops.n_P)
-        M_t = regression_matrix(ops, T_t, P_t)
+        M_t = dense_M(S_list, src, ops.n_k, ops.n_z, T_t, P_t)
         lhs = T_t + theta.dtau * M_t @ theta.vector
         rhs = model.A @ T_t + model.B @ P_t
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
 def test_regression_matrix_trivial_blocks():
-    m, ops, _ = rand_ops(2, 2, 1, seed=2)
-    M = regression_matrix(ops, np.full(ops.n, 30.0), np.zeros(ops.n_P))
+    m, scheme = rand_mesh_scheme(2, 2, 1)
+    ops = build_operators(m, scheme)
+    S_list, src = dense_structure(m, scheme)
+    M = dense_M(S_list, src, ops.n_k, ops.n_z, np.full(ops.n, 30.0), np.zeros(ops.n_P))
     np.testing.assert_array_equal(M, np.zeros_like(M))
-    M2 = regression_matrix(ops, np.arange(ops.n, dtype=float), np.zeros(ops.n_P))
+    M2 = dense_M(S_list, src, ops.n_k, ops.n_z, np.arange(ops.n, dtype=float), np.zeros(ops.n_P))
     np.testing.assert_array_equal(M2[:, ops.n_k:], 0.0)
 
 

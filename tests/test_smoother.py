@@ -3,13 +3,9 @@
 import numpy as np
 import pytest
 
+from _oracles import rtss_full
 from thermem.model import StateSpaceModel, simulate
-from thermem.smoother import (
-    SmootherOutput,
-    accumulate_stats,
-    rtss_full,
-    rtss_steady,
-)
+from thermem.smoother import SmootherOutput, accumulate_stats, rtss_steady
 from thermem.solvers import DareProblem, solve_dare
 
 
