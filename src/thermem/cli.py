@@ -32,7 +32,7 @@ from thermem.errors import (
     StabilityError,
     ThermemError,
 )
-from thermem.estimation import run_em
+from thermem.estimation import EmConfig, run_em
 from thermem.graph import build_operators
 from thermem.model import (
     assemble,
@@ -81,8 +81,10 @@ def cmd_generate(args) -> int:
         raise ConfigurationError(
             f"no true parameters known for scheme {exp.scheme_name!r}; add theta_true"
         )
+    # The variance that simulates the measurement noise is the one recorded.
+    meas_var = exp.spec.meas_var if exp.spec else exp.cfg.get("em", {}).get("R", EmConfig.R)
     traj, model = generate_dataset(
-        exp.mesh, scheme, theta_true, noise, N, seed, spec=exp.spec
+        exp.mesh, scheme, theta_true, noise, N, seed, spec=exp.spec, meas_var=meas_var
     )
 
     data_path, truth_path, manifest_path = _dataset_paths(exp.out_dir)
@@ -110,9 +112,7 @@ def cmd_generate(args) -> int:
             "noise": {"kind": noise.kind, "sigma2": noise.sigma2},
             # Known measurement covariance for identification; noiseless data
             # records a small nominal value (R must stay SPD in the filter).
-            "R": (exp.spec.meas_var if exp.spec else exp.cfg.get("em", {}).get("R", 1e-6))
-            if noise.kind != "none"
-            else 1e-10,
+            "R": meas_var if noise.kind != "none" else 1e-10,
             "seed": seed,
             "N": N,
             "files": {

@@ -8,13 +8,17 @@ describes a custom mesh:
       "scheme": "strong",                 # weak | strong | a custom scheme name
       "constraint": "qI",                 # qI | diag | aLLbI
       "em": {"max_iter": 500, "theta_tol": 1e-6, "theta_init": 0.01,
-             "q_init": 0.01, "R": 1e-6},
+             "q_init": 0.01, "R": 1e-6, "dtau": 1.0},
       "generate": {"N": 5000, "seed": 1,
                    "noise": {"kind": "none" | "q_iso" | "AAt", "sigma2": 1e-4},
                    "write_truth": true},
       "predict": {"horizon": 18000},
       "out": "runs/exp"
     }
+
+Every "em" key is optional; thermem.estimation.EmConfig supplies the defaults
+shown. theta_init may also be {"k": [...], "z": [...]}. R is the measurement
+covariance; for a custom mesh, generate also simulates its noise with R.
 
 Custom meshes give per-layer role maps as character rows (top layer is
 layer 1; map row 0 is y = 0), plus refinement/observation lists:
@@ -82,6 +86,8 @@ ROLE_CHARS = {
     "B": "baseplate",
     ".": "inactive",
 }
+
+_EM_NUMBERS = {"max_iter": int, "theta_tol": float, "q_init": float, "dtau": float}
 
 CONSTRAINT_ALIASES = {
     "qI": SCALAR_IDENTITY,
@@ -245,7 +251,7 @@ class Experiment:
         if "theta_true" in cfg:
             tt = cfg["theta_true"]
             theta = ThetaParams(
-                k=tt["k"], z=tt["z"], dtau=float(cfg.get("em", {}).get("dtau", 1.0))
+                k=tt["k"], z=tt["z"], dtau=float(cfg.get("em", {}).get("dtau", EmConfig.dtau))
             )
             for sname in self.schemes:
                 self.theta_true.setdefault(sname, theta)
@@ -263,21 +269,13 @@ class Experiment:
         return self.schemes[self.scheme_name]
 
     def em_config(self, R_override=None) -> EmConfig:
+        """EmConfig from the em keys the config sets; unknown keys are ignored."""
         em = dict(self.cfg.get("em", {}))
         if R_override is not None:
             em["R"] = R_override
-        theta_init = em.get("theta_init", 1e-2)
-        if isinstance(theta_init, dict):
-            theta_init = ThetaParams(
-                k=theta_init["k"],
-                z=theta_init["z"],
-                dtau=float(em.get("dtau", 1.0)),
-            )
-        return EmConfig(
-            max_iter=int(em.get("max_iter", 500)),
-            theta_tol=float(em.get("theta_tol", 1e-6)),
-            theta_init=theta_init,
-            q_init=float(em.get("q_init", 1e-2)),
-            R=em.get("R", 1e-6),
-            dtau=float(em.get("dtau", 1.0)),
-        )
+        kwargs = {key: em[key] for key in ("theta_init", "R") if key in em}
+        kwargs.update((key, cast(em[key])) for key, cast in _EM_NUMBERS.items() if key in em)
+        cfg = EmConfig(**kwargs)
+        if isinstance(cfg.theta_init, dict):
+            cfg.theta_init = ThetaParams(k=cfg.theta_init["k"], z=cfg.theta_init["z"], dtau=cfg.dtau)
+        return cfg

@@ -267,17 +267,19 @@ def source_clusters(spec: ToySpec, mesh: CompartmentMesh) -> np.ndarray:
     return np.array(out, dtype=np.int64)
 
 
+def _square_waves(N: int, periods, phases, amp: float, duty: float) -> np.ndarray:
+    """Column p is ``amp`` in the first ``duty`` share of each phase-shifted period, else 0."""
+    periods = np.asarray(periods)
+    on = ((np.arange(N)[:, None] + phases) % periods) < duty * periods
+    return np.where(on, amp, 0.0)
+
+
 def toy_inputs(spec: ToySpec, mesh: CompartmentMesh, N: int) -> np.ndarray:
     """Duty-cycled square-wave power per IGBT channel, cluster-phased."""
     clusters = source_clusters(spec, mesh)
-    t = np.arange(N)
-    P = np.empty((N, clusters.size))
-    for p, cl in enumerate(clusters):
-        period = spec.pulse_periods[cl % len(spec.pulse_periods)]
-        phase = spec.pulse_phases[cl % len(spec.pulse_phases)]
-        on = ((t + phase) % period) < spec.pulse_duty * period
-        P[:, p] = np.where(on, spec.pulse_amp, 0.0)
-    return P
+    periods = np.asarray(spec.pulse_periods)[clusters % len(spec.pulse_periods)]
+    phases = np.asarray(spec.pulse_phases)[clusters % len(spec.pulse_phases)]
+    return _square_waves(N, periods, phases, spec.pulse_amp, spec.pulse_duty)
 
 
 @dataclass(frozen=True)
@@ -319,21 +321,14 @@ def process_covariance(noise: NoiseSpec, A: np.ndarray, ambient_index: int) -> n
     return Q
 
 
-def default_inputs(N: int, n_P: int, amp: float = 3.0, duty: float = 0.5) -> np.ndarray:
+def default_inputs(N: int, n_P: int) -> np.ndarray:
     """Distinct square waves per source channel (breaks layout symmetries).
 
     Periods scale with the record length so every channel cycles a few times
     and no two channels share period and phase.
     """
-    t = np.arange(N)
-    P = np.empty((N, n_P))
-    base = max(8, N // 6)
-    for p in range(n_P):
-        period = base + 13 * p
-        phase = 7 * p
-        on = ((t + phase) % period) < duty * period
-        P[:, p] = np.where(on, amp, 0.0)
-    return P
+    p = np.arange(n_P)
+    return _square_waves(N, max(8, N // 6) + 13 * p, 7 * p, ToySpec.pulse_amp, ToySpec.pulse_duty)
 
 
 def generate_dataset(
@@ -346,20 +341,21 @@ def generate_dataset(
     spec: Optional[ToySpec] = None,
     P: Optional[np.ndarray] = None,
     ops: Optional[GraphOperators] = None,
-    ambient_temp: float = 25.0,
-    meas_var: float = 1e-6,
+    meas_var: float = ToySpec.meas_var,
 ):
     """Simulate an identification dataset; returns (Trajectory, model).
 
     Inputs come from ``P``, from the toy pulse profile when ``spec`` is
-    given, or from distinct per-source square waves otherwise. Observations
-    follow the mesh's observed tags; measurement noise is zero for noiseless
-    generation.
+    given, or from distinct per-source square waves otherwise. A ``spec``
+    also sets the ambient start temperature and overrides ``meas_var``.
+    Observations follow the mesh's observed tags; measurement noise is zero
+    for noiseless generation.
     """
     if N < 2:
         raise ValueError("dataset needs N >= 2")
     ops = ops or build_operators(mesh, scheme)
     observed = [c.index for c in mesh.compartments if c.observed]
+    ambient_temp = ToySpec.ambient_temp
     if spec is not None:
         ambient_temp = spec.ambient_temp
         meas_var = spec.meas_var

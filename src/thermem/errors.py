@@ -28,9 +28,9 @@ class NumericalError(ThermemError):
 class DivergenceError(NumericalError):
     """A simulated or filtered trajectory produced non-finite values."""
 
-    def __init__(self, step, message=None):
+    def __init__(self, step):
         self.step = step
-        super().__init__(message or f"non-finite values first encountered at step {step}")
+        super().__init__(f"non-finite values first encountered at step {step}")
 
 
 class IdentifiabilityError(ThermemError):

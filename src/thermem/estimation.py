@@ -61,8 +61,7 @@ class CovarianceConstraint:
     q_vec: Optional[np.ndarray] = None
     alpha: float = 0.0
     beta: float = 0.0
-    L: Optional[np.ndarray] = None
-    _LL: Optional[np.ndarray] = field(default=None, repr=False)
+    LL: Optional[np.ndarray] = field(default=None, repr=False)  # L L' of alpha LL' + beta I
 
     @staticmethod
     def scalar_identity(q: float, n: int) -> "CovarianceConstraint":
@@ -83,16 +82,14 @@ class CovarianceConstraint:
         n = L.shape[0]
         if alpha <= 0 or beta <= 0:
             raise ValueError("alpha and beta must be positive")
-        c = CovarianceConstraint(kind=ALPHA_LL_BETA_I, n=n, alpha=float(alpha), beta=float(beta), L=L)
-        c._LL = L @ L.T
-        return c
+        return CovarianceConstraint(kind=ALPHA_LL_BETA_I, n=n, alpha=float(alpha), beta=float(beta), LL=L @ L.T)
 
     def matrix(self) -> np.ndarray:
         if self.kind == SCALAR_IDENTITY:
             return self.q * np.eye(self.n)
         if self.kind == DIAGONAL:
             return np.diag(self.q_vec)
-        return self.alpha * self._LL + self.beta * np.eye(self.n)
+        return self.alpha * self.LL + self.beta * np.eye(self.n)
 
     def inv_matrix(self) -> np.ndarray:
         if self.kind == SCALAR_IDENTITY:
@@ -145,11 +142,11 @@ def _quadratic_terms(stats: SmootherStats, ops: GraphOperators, Q_inv, dtau):
         return w * qdiag[h] * (X[h, h] - X[h, t])
 
     def source_gather(X):
-        """src_scale_p * (Q^{-1} X)[comp_p, p] per source channel."""
+        """(Q^{-1} X)[comp_p, p] per source channel."""
         if qdiag is None:
             QX = Q_inv @ X
-            return ops.src_scale * QX[ops.src_comp, src]
-        return ops.src_scale * qdiag[ops.src_comp] * X[ops.src_comp, src]
+            return QX[ops.src_comp, src]
+        return qdiag[ops.src_comp] * X[ops.src_comp, src]
 
     MQM = np.zeros((p, p))
     # kk block: (a,b) -> tr(S_a' Q^{-1} S_b XX)
@@ -165,9 +162,7 @@ def _quadratic_terms(stats: SmootherStats, ops: GraphOperators, Q_inv, dtau):
         MQM[n_k:, :n_k] = MQM[:n_k, n_k:].T
         # zz block
         comp = ops.src_comp
-        G = (ops.src_scale[:, None] * ops.src_scale[None, :]) * Q_inv[
-            np.ix_(comp, comp)
-        ] * stats.UU
+        G = Q_inv[np.ix_(comp, comp)] * stats.UU
         Z = np.zeros((ops.n_P, n_z))
         Z[src, ops.z_class] = 1.0
         MQM[n_k:, n_k:] = Z.T @ G @ Z
@@ -256,7 +251,7 @@ def project_constraint(Q_full: np.ndarray, c: CovarianceConstraint) -> Covarianc
             q_vec[low] = PARAM_FLOOR
         return CovarianceConstraint(kind=DIAGONAL, n=n, q_vec=q_vec)
     # alpha LL' + beta I: two-variable least squares on vec(Q_full).
-    LL = c._LL
+    LL = c.LL
     a11 = float(np.sum(LL * LL))
     a12 = float(np.trace(LL))
     a22 = float(n)
@@ -267,15 +262,13 @@ def project_constraint(Q_full: np.ndarray, c: CovarianceConstraint) -> Covarianc
     b2 = float(np.trace(Q_full))
     alpha = (a22 * b1 - a12 * b2) / det
     beta = (a11 * b2 - a12 * b1) / det
-    out = CovarianceConstraint(
+    return CovarianceConstraint(
         kind=ALPHA_LL_BETA_I,
         n=n,
         alpha=_floored(alpha, "alpha"),
         beta=_floored(beta, "beta"),
-        L=c.L,
+        LL=LL,
     )
-    out._LL = LL
-    return out
 
 
 def _floored(value: float, name: str) -> float:

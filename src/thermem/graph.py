@@ -10,9 +10,9 @@ In incidence notation the coupling operator is Io_dyn diag(C_sel k) J' and
 the input map is B_sel diag(A_sel z): J (n x m) has +1 at an edge's tail and
 -1 at its head, Io_dyn keeps the -1 entries with the ambient row zeroed,
 C_sel spreads conductance classes over edges with face-area scales, B_sel
-places source channels into compartments and A_sel maps shared gains to
-channels. These matrices are not built; both operators come straight from
-the edge and source arrays.
+places each source channel, unscaled, into its compartment and A_sel maps
+shared gains to channels. These matrices are not built; both operators come
+straight from the edge and source arrays.
 """
 
 from __future__ import annotations
@@ -96,7 +96,8 @@ class GraphOperators:
     """Edge and source arrays of a mesh under a sharing scheme.
 
     Edge arrays (tails, heads, weights, k_class) define the coupling
-    operators; sources are ordered by compartment index.
+    operators; sources are ordered by compartment index, and channel p feeds
+    compartment src_comp[p] with gain z[z_class[p]] (sources carry no scale).
     ``coupling_by_class[a]`` is the n x n matrix S_a whose row h holds
     w_e (e_h - e_t)' summed over the class-a edges t -> h with a non-ambient
     head, so the state matrix is I - dtau * sum_a k_a S_a.
@@ -113,7 +114,6 @@ class GraphOperators:
     weights: np.ndarray
     k_class: np.ndarray
     src_comp: np.ndarray
-    src_scale: np.ndarray
     z_class: np.ndarray
     coupling_by_class: tuple = field(repr=False, default=())
     k_names: tuple = ()
@@ -132,10 +132,9 @@ class GraphOperators:
 
     def source_matrix(self, z: np.ndarray) -> sp.csr_matrix:
         """The n x n_P input map without dtau: channel p feeds its compartment
-        with gain src_scale_p * z[z_class_p]."""
-        gains = self.src_scale * z[self.z_class]
+        with gain z[z_class_p]."""
         return sp.csr_matrix(
-            (gains, (self.src_comp, np.arange(self.n_P))), shape=(self.n, self.n_P)
+            (z[self.z_class], (self.src_comp, np.arange(self.n_P))), shape=(self.n, self.n_P)
         )
 
 
@@ -171,7 +170,6 @@ def build_operators(mesh: CompartmentMesh, scheme: SharingScheme) -> GraphOperat
     sources = [c for c in comps if c.has_source]
     n_P = len(sources)
     src_comp = np.array([c.index for c in sources], dtype=np.int64)
-    src_scale = np.ones(n_P)
     z_class = np.array([scheme.source_class(c) for c in sources], dtype=np.int64)
     if n_P and (np.any(z_class < 0) or np.any(z_class >= scheme.n_z)):
         raise ConfigurationError("source class index out of range")
@@ -202,7 +200,6 @@ def build_operators(mesh: CompartmentMesh, scheme: SharingScheme) -> GraphOperat
         weights=weights,
         k_class=k_class,
         src_comp=src_comp,
-        src_scale=src_scale,
         z_class=z_class,
         coupling_by_class=tuple(coupling),
         k_names=scheme.k_names,

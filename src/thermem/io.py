@@ -133,29 +133,27 @@ def write_trajectory_csv(path, traj: Trajectory, full_state: bool = False):
     _write_csv(path, header, [np.arange(block.shape[0])[:, None], block, P])
 
 
-def write_states_csv(path, X, P=None):
-    """Dump a state-mean sequence (e.g. smoothed means) in the T-block schema."""
-    X = np.asarray(X, dtype=np.float64)
-    P = np.zeros((X.shape[0], 0)) if P is None else np.asarray(P, dtype=np.float64)[: X.shape[0]]
-    traj = Trajectory(P=P, y=X, T=X)
-    write_trajectory_csv(path, traj, full_state=True)
-
-
-def read_trajectory_csv(path) -> Trajectory:
-    """Read a trajectory CSV; column names decide y- vs T-block."""
+def _read_csv(path):
+    """Column names from the header line and the rows as a 2-D float array."""
     with open(path, "r") as fh:
-        header = fh.readline().strip()
-    names = header.split(",")
-    if not names or names[0] != "t":
-        raise DataFormatError(f"{path}: first column must be 't', got header {header!r}")
+        names = fh.readline().strip().split(",")
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except ValueError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
     if data.shape[1] != len(names):
         raise DataFormatError(
-            f"{path}: header names {len(names)} columns, rows carry {data.shape[1]}"
+            f"{path}: column count mismatch with header "
+            f"(header names {len(names)} columns, rows carry {data.shape[1]})"
         )
+    return names, data
+
+
+def read_trajectory_csv(path) -> Trajectory:
+    """Read a trajectory CSV; column names decide y- vs T-block."""
+    names, data = _read_csv(path)
+    if names[0] != "t":
+        raise DataFormatError(f"{path}: first column must be 't', got header {','.join(names)!r}")
     y_cols = [i for i, nm in enumerate(names) if nm.startswith("y_")]
     T_cols = [i for i, nm in enumerate(names) if nm.startswith("T_")]
     P_cols = [i for i, nm in enumerate(names) if nm.startswith("P_")]
@@ -215,15 +213,7 @@ def write_trace_csv(path, trace: EmTrace):
 
 def read_trace_csv(path):
     """Returns (column_names, data array) of a trace file."""
-    with open(path, "r") as fh:
-        names = fh.readline().strip().split(",")
-    try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except ValueError as exc:
-        raise DataFormatError(f"{path}: {exc}") from exc
-    if data.size and data.shape[1] != len(names):
-        raise DataFormatError(f"{path}: column count mismatch with header")
-    return names, data
+    return _read_csv(path)
 
 
 def write_theta_json(path, theta, theta_names=()):

@@ -150,16 +150,6 @@ class CompartmentMesh:
         )
         return dataclasses.replace(self, compartments=comps)
 
-    def with_sources(self, indices: Iterable[int]) -> "CompartmentMesh":
-        """A copy where exactly the given compartments carry a heat source."""
-        wanted = set(indices)
-        if self.ambient_index in wanted:
-            raise ValueError("ambient compartment cannot carry a heat source")
-        comps = tuple(
-            dataclasses.replace(c, has_source=(c.index in wanted)) for c in self.compartments
-        )
-        return dataclasses.replace(self, compartments=comps)
-
 
 def _extent(cell_size, scale, layer, ox, oy, span):
     dx, dy, dz = cell_size

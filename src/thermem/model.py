@@ -63,8 +63,6 @@ class StateSpaceModel:
     C: np.ndarray
     Q: np.ndarray
     R: np.ndarray
-    observed: tuple
-    dtau: float = 1.0
 
     @property
     def n(self) -> int:
@@ -152,8 +150,6 @@ def assemble(
         C=C,
         Q=_as_cov(Q, ops.n, "Q"),
         R=_as_cov(R, len(list(observed)), "R"),
-        observed=tuple(observed),
-        dtau=theta.dtau,
     )
 
 

@@ -51,6 +51,7 @@ def _sym_inplace(M):
 
 # Newton-Hewer steps a warm start may take before it falls back to doubling.
 _NEWTON_STEPS = 4
+_MAX_ITER = 200  # doubling and squaring loops; the fixed-point sweep gets 10x
 
 
 def _riccati_defect(V, p: DareProblem):
@@ -72,11 +73,11 @@ def _check_psd(V):
     return V
 
 
-def _dare_fixed_point(p: DareProblem, V0, tol, max_iter):
+def _dare_fixed_point(p: DareProblem, V0, tol):
     """Plain covariance recursion V <- A(V - V C'(CVC'+R)^{-1} C V)A' + Q."""
     A, C, Q, R = p.A, p.C, p.Q, p.R
     V = _sym(V0)
-    for _ in range(max_iter):
+    for _ in range(10 * _MAX_ITER):
         S = C @ V @ C.T + R
         try:
             G = np.linalg.solve(S, C @ V)
@@ -89,7 +90,7 @@ def _dare_fixed_point(p: DareProblem, V0, tol, max_iter):
     return V
 
 
-def _newton_hewer(p: DareProblem, V, threshold, max_iter):
+def _newton_hewer(p: DareProblem, V, threshold):
     """Newton-Hewer steps from V: the certified solution, or None (silently) on
     failure, after ``_NEWTON_STEPS`` steps, or once the residual stops falling."""
     res_prev = np.inf
@@ -103,13 +104,13 @@ def _newton_hewer(p: DareProblem, V, threshold, max_iter):
                 if step == _NEWTON_STEPS or not res < res_prev:
                     break
                 res_prev = res
-                V = V + _squaring(p.A - K @ p.C, _sym_inplace(D), threshold(V), max_iter)
+                V = V + _squaring(p.A - K @ p.C, _sym_inplace(D), threshold(V))
     except (np.linalg.LinAlgError, ConvergenceError, NumericalError):
         pass  # the caller falls back to doubling
     return None
 
 
-def solve_dare(p: DareProblem, tol: float = None, max_iter: int = 200, V0=None) -> np.ndarray:
+def solve_dare(p: DareProblem, V0=None) -> np.ndarray:
     """Stabilizing solution of the filter DARE, residual-certified.
 
     Requires R invertible and (A, C) detectable in every mode not excited by
@@ -123,10 +124,9 @@ def solve_dare(p: DareProblem, tol: float = None, max_iter: int = 200, V0=None) 
     R = _sym(np.asarray(p.R, dtype=np.float64))
     prob = DareProblem(A, C, Q, R)
     n = A.shape[0]
-    if tol is None:
-        tol = 1e-10 * max(1.0, np.linalg.norm(Q, "fro"))
+    tol = 1e-10 * max(1.0, np.linalg.norm(Q, "fro"))
 
-    # Certify against the requested tolerance, but never below the float64
+    # Certify against the scaled tolerance, but never below the float64
     # residual floor of the problem scale (the cancellation in the gain term
     # caps attainable residuals near 1e-9 relative when R << V; 5e-9 stays
     # 2x inside the 1e-8 relative acceptance bound).
@@ -137,7 +137,7 @@ def solve_dare(p: DareProblem, tol: float = None, max_iter: int = 200, V0=None) 
         V0 = np.asarray(V0, dtype=np.float64)
         if V0.shape != (n, n):
             raise ValueError(f"V0 must be {n}x{n}, got {V0.shape}")
-        V = _newton_hewer(prob, _sym(V0), threshold, max_iter)
+        V = _newton_hewer(prob, _sym(V0), threshold)
         if V is not None:
             return V
 
@@ -153,7 +153,7 @@ def solve_dare(p: DareProblem, tol: float = None, max_iter: int = 200, V0=None) 
         raise NumericalError(f"R is singular: {exc}") from exc
     Hk = Q.copy()
     converged = False
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         Ak, Gk = AG[:, :n], AG[:, n:]
         M = Gk @ Hk
         M[np.diag_indices(n)] += 1.0
@@ -177,7 +177,7 @@ def solve_dare(p: DareProblem, tol: float = None, max_iter: int = 200, V0=None) 
 
     res = dare_residual(V, prob) if converged else np.inf
     if res >= threshold(V):
-        V = _dare_fixed_point(prob, V if converged else Q, tol, 10 * max_iter)
+        V = _dare_fixed_point(prob, V if converged else Q, tol)
         res = dare_residual(V, prob)
     if not np.isfinite(res) or res >= threshold(V):
         raise ConvergenceError(
@@ -191,7 +191,7 @@ def dlyap_residual(V, p: DlyapProblem) -> float:
     return float(np.linalg.norm(V - p.J @ V @ p.J.T - p.W, "fro"))
 
 
-def _squaring(J, W, tol, max_iter):
+def _squaring(J, W, tol):
     """V = J V J' + W for symmetric W, by V <- V + J^(2^k) V (J^(2^k))'.
 
     Stops once the next term is below a tenth of ``tol``; raises
@@ -199,7 +199,7 @@ def _squaring(J, W, tol, max_iter):
     """
     V, Jk = W, J  # neither is written to; each step makes new arrays
     w0 = np.linalg.norm(W, "fro")
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         V = _sym_inplace(Jk @ V @ Jk.T + V)
         if not np.isfinite(V).all() or np.linalg.norm(V, "fro") > 1e12 * max(1.0, w0):
             raise ConvergenceError("Lyapunov squaring iteration diverging (rho(J) >= 1)")
@@ -209,15 +209,14 @@ def _squaring(J, W, tol, max_iter):
     return V
 
 
-def solve_dlyap(p: DlyapProblem, tol: float = None, max_iter: int = 200) -> np.ndarray:
+def solve_dlyap(p: DlyapProblem) -> np.ndarray:
     """Solution of V = J V J' + W for spectral radius(J) < 1."""
     J = np.asarray(p.J, dtype=np.float64)
     W = _sym(np.asarray(p.W, dtype=np.float64))
     prob = DlyapProblem(J, W)
-    if tol is None:
-        tol = 1e-10 * max(1.0, np.linalg.norm(W, "fro"))
+    tol = 1e-10 * max(1.0, np.linalg.norm(W, "fro"))
 
-    V = _squaring(J, W, tol, max_iter)
+    V = _squaring(J, W, tol)
 
     res = dlyap_residual(V, prob)
     threshold = max(tol, 5e-9 * max(1.0, np.linalg.norm(V, "fro")))

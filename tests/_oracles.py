@@ -24,7 +24,7 @@ def dense_structure(mesh, scheme):
 
     Returns (S_list, src) where S_list[a][h, :] accumulates w * (e_h - e_t)'
     over the class-a edges whose head is not ambient, and src is a list of
-    (compartment, scale, z_class) triples ordered by compartment index.
+    (compartment, z_class) pairs ordered by compartment index.
     """
     n = mesh.n_compartments
     amb = mesh.ambient_index
@@ -39,7 +39,7 @@ def dense_structure(mesh, scheme):
         S_list[a][j, j] += w
         S_list[a][j, i] -= w
     src = [
-        (c.index, 1.0, scheme.source_class(c))
+        (c.index, scheme.source_class(c))
         for c in comps
         if c.has_source
     ]
@@ -52,8 +52,8 @@ def dense_M(S_list, src, n_k, n_z, T_t, P_t):
     M = np.zeros((n, n_k + n_z))
     for a in range(n_k):
         M[:, a] = -S_list[a] @ T_t
-    for p, (comp, scale, zc) in enumerate(src):
-        M[comp, n_k + zc] += scale * P_t[p]
+    for p, (comp, zc) in enumerate(src):
+        M[comp, n_k + zc] += P_t[p]
     return M
 
 
@@ -71,8 +71,8 @@ def bruteforce_terms(mesh, scheme, x, P, Q_inv, theta, V=None, J_S=None):
     S_list, src = dense_structure(mesh, scheme)
     S = sum(theta.k[a] * S_list[a] for a in range(n_k))
     Bt = np.zeros((n, len(src)))
-    for j, (comp, scale, zc) in enumerate(src):
-        Bt[comp, j] = scale * theta.z[zc]
+    for j, (comp, zc) in enumerate(src):
+        Bt[comp, j] = theta.z[zc]
 
     if V is None:
         V = np.zeros((n, n))

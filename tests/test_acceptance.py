@@ -98,6 +98,7 @@ def predict_full_horizon(mesh, scheme, theta, truth):
     return predict(model, T_1, truth.P)
 
 
+@pytest.mark.slow
 def test_criterion_1_parameter_recovery(reduced):
     """Noiseless strong-scheme data; EM from 0.01 recovers every k."""
     spec, mesh, weak, strong = reduced
@@ -119,6 +120,7 @@ def test_criterion_1_parameter_recovery(reduced):
     assert elapsed < 600.0
 
 
+@pytest.mark.slow
 def test_criterion_2_long_term_prediction(reduced, weak_truth_noiseless):
     """Weak generation, strong identification, 18000-step rollout <= 4% of rise."""
     spec, mesh, weak, strong = reduced
@@ -138,6 +140,7 @@ def test_criterion_2_long_term_prediction(reduced, weak_truth_noiseless):
     assert pct <= 4.0
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("kind", ["scalar_identity", "alpha_LL_beta_I"])
 def test_criterion_3a_regularized_constraints(reduced, weak_truth_noisy, kind):
     """qI and alpha LL' + beta I stay bounded and predict within 1 degC."""
@@ -164,6 +167,7 @@ def test_criterion_3a_regularized_constraints(reduced, weak_truth_noisy, kind):
     assert err < 1.0, f"prediction error {err:.3f} degC"
 
 
+@pytest.mark.slow
 def test_criterion_3b_diagonal_constraint_split(reduced, weak_truth_noisy):
     """Diagonal q entries separate into data-informed and prior-bound groups.
 
@@ -218,10 +222,7 @@ def criterion_4_system(N):
     B = rng.normal(size=(n, n_P))
     C = np.zeros((n_y, n))
     C[np.arange(n_y), rng.permutation(n)[:n_y]] = 1.0
-    model = StateSpaceModel(
-        A=A, B=B, C=C, Q=1e-3 * np.eye(n), R=1e-4 * np.eye(n_y),
-        observed=tuple(range(n_y)),
-    )
+    model = StateSpaceModel(A=A, B=B, C=C, Q=1e-3 * np.eye(n), R=1e-4 * np.eye(n_y))
     P = rng.uniform(0, 1, (N, n_P))
     return model, simulate(model, rng.normal(size=n), P, seed=1)
 

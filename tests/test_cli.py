@@ -1,5 +1,6 @@
 """End-to-end CLI flows on a small custom mesh and the reduced preset."""
 
+import dataclasses
 import json
 import os
 import warnings
@@ -7,6 +8,8 @@ import warnings
 import numpy as np
 
 from thermem.cli import main
+from thermem.config import Experiment
+from thermem.estimation import EmConfig
 from thermem.io import (
     read_manifest,
     read_theta_json,
@@ -117,6 +120,33 @@ def test_toy_preset_manifest_records_817(tmp_path):
     assert manifest["layer_counts"] == {"1": 117, "2": 359, "3": 170, "4": 170}
 
 
+def test_custom_mesh_noise_variance_matches_manifest(tmp_path):
+    cfg_path, out_dir = write_config(tmp_path, {
+        "em": {"R": 1e-4},
+        "generate": {"N": 4000, "seed": 3, "noise": {"kind": "AAt", "sigma2": 1e-4}},
+    })
+    assert main(["generate", "--config", cfg_path]) == 0
+    manifest = read_manifest(os.path.join(out_dir, "manifest.json"))
+    assert manifest["R"] == 1e-4
+    data = read_trajectory_csv(os.path.join(out_dir, "dataset.csv"))
+    truth = read_trajectory_csv(os.path.join(out_dir, "truth.csv"))
+    noise = data.y - truth.T[:, manifest["observed_indices"]]
+    assert abs(noise.var() / manifest["R"] - 1.0) < 0.1
+
+
+def test_em_config_defaults_come_from_emconfig():
+    cfg = json.loads(json.dumps(SMALL_CONFIG))
+    del cfg["em"]
+    got = Experiment(cfg).em_config()
+    for f in dataclasses.fields(EmConfig):
+        assert getattr(got, f.name) == getattr(EmConfig(), f.name), f.name
+
+    cfg["em"] = json.loads('{"max_iter": 150.0}')
+    got = Experiment(cfg).em_config()
+    assert got.max_iter == 150 and isinstance(got.max_iter, int)
+    assert dataclasses.replace(got, max_iter=EmConfig().max_iter) == EmConfig()
+
+
 def test_identify_max_iter_one(tmp_path):
     cfg_path, out_dir = write_config(tmp_path, {"em": {"max_iter": 1, "R": 1e-10}})
     assert main(["generate", "--config", cfg_path]) == 0
@@ -195,11 +225,11 @@ def test_report_splits_diagonal_q(tmp_path):
 
 
 def test_states_csv_dump(tmp_path):
-    from thermem.io import write_states_csv
+    from thermem.model import Trajectory
 
     X = np.arange(12.0).reshape(4, 3)
     path = tmp_path / "smoothed.csv"
-    write_states_csv(str(path), X)
+    write_trajectory_csv(str(path), Trajectory(P=np.zeros((4, 0)), y=X, T=X), full_state=True)
     back = read_trajectory_csv(str(path))
     np.testing.assert_allclose(back.T, X, atol=1e-12)
     assert back.P.shape == (4, 0)

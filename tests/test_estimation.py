@@ -281,8 +281,7 @@ def test_build_L_no_edges_is_zero():
         n=3, m=0, n_k=0, n_z=0, n_P=0, ambient_index=2,
         tails=np.zeros(0, dtype=int), heads=np.zeros(0, dtype=int),
         weights=np.zeros(0), k_class=np.zeros(0, dtype=int),
-        src_comp=np.zeros(0, dtype=int), src_scale=np.zeros(0),
-        z_class=np.zeros(0, dtype=int),
+        src_comp=np.zeros(0, dtype=int), z_class=np.zeros(0, dtype=int),
     )
     np.testing.assert_array_equal(build_L(empty), np.zeros((3, 3)))
 

@@ -41,8 +41,8 @@ def test_assemble_matches_dense_structure(shape, refined):
         k_a * S_a for k_a, S_a in zip(theta.k, S_list)
     )
     B_ref = np.zeros((mesh.n_compartments, len(src)))
-    for p, (comp, scale, zc) in enumerate(src):
-        B_ref[comp, p] = theta.dtau * scale * theta.z[zc]
+    for p, (comp, zc) in enumerate(src):
+        B_ref[comp, p] = theta.dtau * theta.z[zc]
     np.testing.assert_allclose(model.A, A_ref, rtol=0, atol=1e-14)
     np.testing.assert_allclose(model.B, B_ref, rtol=0, atol=1e-14)
 

@@ -81,7 +81,9 @@ def test_trajectory_writer_matches_stacked_savetxt(tmp_path):
 def test_short_P_is_rejected_with_both_counts(tmp_path):
     X = np.ones((6, 3))
     with pytest.raises(ValueError, match=r"P has 5 rows but the T block has 6"):
-        tio.write_states_csv(str(tmp_path / "s.csv"), X, P=np.zeros((5, 2)))
+        tio.write_trajectory_csv(
+            str(tmp_path / "s.csv"), Trajectory(P=np.zeros((5, 2)), y=X, T=X), full_state=True
+        )
 
 
 def test_cli_outputs_rewrite_byte_for_byte(tmp_path):

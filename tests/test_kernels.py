@@ -129,7 +129,7 @@ def test_simulate_unstable_model_diverges_at_loop_step():
     n = 3
     model = StateSpaceModel(
         A=1.5 * np.eye(n), B=np.zeros((n, 1)), C=np.eye(n)[:1],
-        Q=np.zeros((n, n)), R=np.eye(1), observed=(0,),
+        Q=np.zeros((n, n)), R=np.eye(1),
     )
     T1, P = np.ones(n), np.zeros((5000, 1))
     with np.errstate(over="ignore", invalid="ignore"):

@@ -130,7 +130,7 @@ def make_model(A, B=None, C=None, Q=0.0, R=0.0):
     C = np.eye(n) if C is None else np.asarray(C, dtype=float)
     Qm = Q * np.eye(n) if np.isscalar(Q) else Q
     Rm = R * np.eye(C.shape[0]) if np.isscalar(R) else R
-    return StateSpaceModel(A=A, B=B, C=C, Q=Qm, R=Rm, observed=tuple(range(C.shape[0])))
+    return StateSpaceModel(A=A, B=B, C=C, Q=Qm, R=Rm)
 
 
 def test_simulate_identity_is_constant():

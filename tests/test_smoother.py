@@ -17,7 +17,6 @@ def make_model(A, B, C, Q, R):
         C=np.asarray(C, dtype=float),
         Q=np.asarray(Q, dtype=float),
         R=np.asarray(R, dtype=float),
-        observed=tuple(range(np.asarray(C).shape[0])),
     )
 
 
