@@ -112,7 +112,7 @@ def cmd_generate(args) -> int:
             "noise": {"kind": noise.kind, "sigma2": noise.sigma2},
             # Known measurement covariance for identification; noiseless data
             # records a small nominal value (R must stay SPD in the filter).
-            "R": meas_var if noise.kind != "none" else 1e-10,
+            "R": 1e-10 if noise.noiseless else meas_var,
             "seed": seed,
             "N": N,
             "files": {
@@ -162,6 +162,8 @@ def cmd_identify(args) -> int:
             "stop_reason": status,
             "final_loglik": trace.loglik[-1],
             "final_theta_rel_change": trace.theta_rel_change[-1],
+            "extrapolations_accepted": sum(s > 1 for s in trace.step_length) - sum(trace.rejected),
+            "extrapolations_rejected": sum(trace.rejected),
             "constraint": exp.constraint,
             "scheme": exp.scheme_name,
             "observed_indices": observed,

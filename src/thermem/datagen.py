@@ -301,11 +301,15 @@ class NoiseSpec:
     def AAt(sigma2: float) -> "NoiseSpec":
         return NoiseSpec("AAt", sigma2)
 
+    @property
+    def noiseless(self) -> bool:  # no process and no measurement noise is simulated
+        return self.kind == "none" or self.sigma2 == 0.0
+
 
 def process_covariance(noise: NoiseSpec, A: np.ndarray, ambient_index: int) -> np.ndarray:
     """Dense generation covariance; the ambient row/column is zeroed."""
     n = A.shape[0]
-    if noise.kind == "none" or noise.sigma2 == 0.0:
+    if noise.noiseless:
         return np.zeros((n, n))
     if noise.kind == "q_iso":
         Q = noise.sigma2 * np.eye(n)
@@ -367,14 +371,13 @@ def generate_dataset(
 
     base = assemble(ops, theta_true, observed, Q=0.0, R=0.0)
     Q = process_covariance(noise, base.A, mesh.ambient_index)
-    noiseless = noise.kind == "none" or noise.sigma2 == 0.0
     model = assemble(
         ops,
         theta_true,
         observed,
         Q=Q,
-        R=0.0 if noiseless else meas_var,
+        R=0.0 if noise.noiseless else meas_var,
     )
     T_1 = np.full(ops.n, ambient_temp)
-    traj = simulate(model, T_1, P, seed=seed, noiseless=noiseless)
+    traj = simulate(model, T_1, P, seed=seed, noiseless=noise.noiseless)
     return traj, model

@@ -21,7 +21,7 @@ constraint kind.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -29,6 +29,7 @@ import numpy as np
 from thermem.errors import (
     ConfigurationError,
     IdentifiabilityError,
+    NumericalError,
     ThermemError,
 )
 from thermem.graph import GraphOperators, SharingScheme, build_operators
@@ -49,6 +50,19 @@ CONSTRAINT_KINDS = (SCALAR_IDENTITY, DIAGONAL, ALPHA_LL_BETA_I)
 
 PARAM_FLOOR = 1e-12
 COND_LIMIT = 1e12  # largest accepted condition number of the M-step normal matrix
+
+
+class _Throttle:
+    """Logs each message format at WARNING five times, then at DEBUG."""
+
+    def __init__(self):
+        self.counts = {}
+
+    def __call__(self, msg, *args):
+        count = self.counts[msg] = self.counts.get(msg, 0) + 1
+        if count == 5:
+            msg += " (further ones logged at DEBUG)"
+        logger.log(logging.WARNING if count <= 5 else logging.DEBUG, msg, *args)
 
 
 @dataclass(eq=False)
@@ -196,8 +210,9 @@ def _theta_terms(stats: SmootherStats, ops: GraphOperators, theta: ThetaParams):
     return dTdT, MththM, dTthM
 
 
-def update_theta(stats: SmootherStats, ops: GraphOperators, Q_inv, dtau: float) -> ThetaParams:
-    """Weighted least-squares parameter update from the sufficient statistics.
+def update_theta(stats: SmootherStats, ops: GraphOperators, Q_inv, dtau: float, warn) -> ThetaParams:
+    """Weighted least-squares parameter update from the sufficient statistics;
+    ``warn`` logs clamps.
 
     The normal matrix is Jacobi-equilibrated before solving; this leaves the
     estimator unchanged but keeps column-scale disparities (conductances see
@@ -219,11 +234,7 @@ def update_theta(stats: SmootherStats, ops: GraphOperators, Q_inv, dtau: float) 
     vec = (vt.T @ ((u.T @ (rhs / d)) / s)) / d
     if np.any(vec < 0):
         bad = np.nonzero(vec < 0)[0]
-        logger.warning(
-            "clamping %d negative parameter(s) at indices %s to zero",
-            bad.size,
-            bad.tolist(),
-        )
+        warn("clamping %d negative parameter(s) at indices %s to zero", bad.size, bad.tolist())
         vec = np.clip(vec, 0.0, None)
     return ThetaParams.from_vector(vec, ops.n_k, dtau)
 
@@ -235,19 +246,17 @@ def update_Q_full(stats: SmootherStats, ops: GraphOperators, theta: ThetaParams)
     return (Q + Q.T) / 2
 
 
-def project_constraint(Q_full: np.ndarray, c: CovarianceConstraint) -> CovarianceConstraint:
-    """Constraint-family parameters nearest (Frobenius) to the full estimate."""
+def project_constraint(Q_full, c: CovarianceConstraint, warn) -> CovarianceConstraint:
+    """Constraint-family parameters nearest (Frobenius) to Q_full; ``warn`` logs floors."""
     n = c.n
     if c.kind == SCALAR_IDENTITY:
         q = float(np.trace(Q_full)) / n
-        return CovarianceConstraint(kind=SCALAR_IDENTITY, n=n, q=_floored(q, "q"))
+        return CovarianceConstraint(kind=SCALAR_IDENTITY, n=n, q=_floored(q, "q", warn))
     if c.kind == DIAGONAL:
         q_vec = np.diagonal(Q_full).copy()
         low = q_vec < PARAM_FLOOR
         if low.any():
-            logger.warning(
-                "flooring %d diagonal covariance entries at %.0e", low.sum(), PARAM_FLOOR
-            )
+            warn("flooring %d diagonal covariance entries at %.0e", low.sum(), PARAM_FLOOR)
             q_vec[low] = PARAM_FLOOR
         return CovarianceConstraint(kind=DIAGONAL, n=n, q_vec=q_vec)
     # alpha LL' + beta I: two-variable least squares on vec(Q_full).
@@ -265,15 +274,15 @@ def project_constraint(Q_full: np.ndarray, c: CovarianceConstraint) -> Covarianc
     return CovarianceConstraint(
         kind=ALPHA_LL_BETA_I,
         n=n,
-        alpha=_floored(alpha, "alpha"),
-        beta=_floored(beta, "beta"),
+        alpha=_floored(alpha, "alpha", warn),
+        beta=_floored(beta, "beta", warn),
         LL=LL,
     )
 
 
-def _floored(value: float, name: str) -> float:
+def _floored(value: float, name: str, warn) -> float:
     if value < PARAM_FLOOR:
-        logger.warning("flooring nonpositive %s=%.3g at %.0e", name, value, PARAM_FLOOR)
+        warn("flooring nonpositive %s=%.3g at %.0e", name, value, PARAM_FLOOR)
         return PARAM_FLOOR
     return float(value)
 
@@ -312,13 +321,16 @@ class EmConfig:
 
 @dataclass(eq=False)
 class EmTrace:
-    """Per-iteration history behind the convergence plots."""
+    """One row per E-step. ``step_length`` is the SQUAREM step that built the
+    E-step's input (1: plain EM); a rejected extrapolation repeats the row before."""
 
     theta: list = field(default_factory=list)
     constraint_params: list = field(default_factory=list)
     loglik: list = field(default_factory=list)
     q_residual: list = field(default_factory=list)
     theta_rel_change: list = field(default_factory=list)
+    step_length: list = field(default_factory=list)
+    rejected: list = field(default_factory=list)
     theta_names: tuple = ()
     constraint_names: tuple = ()
     stop_reason: str = ""
@@ -344,20 +356,37 @@ def _init_theta(cfg: EmConfig, ops: GraphOperators) -> ThetaParams:
     return ThetaParams(k=np.full(ops.n_k, v), z=np.full(ops.n_z, v), dtau=cfg.dtau)
 
 
-def run_em(
-    mesh: CompartmentMesh,
-    scheme: SharingScheme,
-    data,
-    cfg: EmConfig,
-    constraint: str = SCALAR_IDENTITY,
-):
-    """Alternate steady-smoother E-steps with the constrained M-step.
+@dataclass(eq=False)
+class EmProblem:
+    """What every E-step of one EM run shares: operators, data and settings."""
 
-    ``data`` is a Trajectory providing observations y and inputs P; observed
-    compartments are those tagged in the mesh (their order fixes the rows of
-    C and must match the columns of y). Returns (theta, constraint, trace).
-    On failure the raised error carries the trace so far as ``exc.trace``.
-    """
+    ops: GraphOperators
+    observed: list
+    Y: np.ndarray
+    P: np.ndarray
+    T_1: np.ndarray
+    cfg: EmConfig
+
+    def em_step(self, theta: ThetaParams, constraint: CovarianceConstraint, V0, warn):
+        """The EM map: E-step at (theta, constraint), its DARE warm-started from
+        V0 (None: cold), then M-step, which logs clamps and floors via ``warn``.
+        Returns (theta', constraint', log-likelihood at the input, the DARE
+        solution, Q_full). Q_full is of the dtau-scaled residuals, so the
+        state noise carries a dtau^2 factor."""
+        dtau = self.cfg.dtau
+        model = assemble(self.ops, theta, self.observed, Q=dtau**2 * constraint.matrix(), R=self.cfg.R)
+        out = rtss_steady(model, self.Y, self.P, self.T_1, V0=V0)
+        stats = accumulate_stats(out, self.P)
+        loglik, V = out.loglik, out.V_S_minus
+        del model, out  # free the N x n means before the M-step
+        theta_new = update_theta(stats, self.ops, constraint.inv_matrix(), dtau, warn)
+        Q_full = update_Q_full(stats, self.ops, theta_new)
+        c_new = project_constraint(Q_full, constraint, warn)
+        return theta_new, c_new, loglik, V, Q_full
+
+
+def em_setup(mesh: CompartmentMesh, scheme: SharingScheme, data, cfg: EmConfig, constraint: str):
+    """The problem ``run_em`` iterates on and its initial (theta, constraint)."""
     ops = build_operators(mesh, scheme)
     observed = [c.index for c in mesh.compartments if c.observed]
     if not observed:
@@ -373,74 +402,136 @@ def run_em(
     theta = _init_theta(cfg, ops)
     if theta.k.shape[0] != ops.n_k or theta.z.shape[0] != ops.n_z:
         raise ConfigurationError("theta_init dimensions do not match the scheme")
-    constraint_state = _init_constraint(constraint, cfg.q_init, ops.n, ops)
+    return EmProblem(ops, observed, Y, P, T_1, cfg), theta, _init_constraint(
+        constraint, cfg.q_init, ops.n, ops)
 
+
+def _log_point(theta: ThetaParams, c: CovarianceConstraint) -> np.ndarray:
+    """SQUAREM coordinates: log theta (floored) and log q, or log alpha, beta."""
+    return np.log(np.maximum(np.concatenate([theta.vector, c.params()]), PARAM_FLOOR))
+
+
+def _exp_point(u: np.ndarray, theta: ThetaParams, c: CovarianceConstraint):
+    """(theta, constraint) at log point ``u``, in the family and dtau of (theta, c).
+    Parameters above sqrt(float64 max) are refused: the E-step squares them."""
+    if u.max() > 0.5 * np.log(np.finfo(np.float64).max):
+        raise NumericalError("extrapolated parameter overflows")
+    vec, p = np.exp(np.maximum(u, np.log(PARAM_FLOOR))), theta.vector.size
+    names = ("q",) if c.kind == SCALAR_IDENTITY else ("alpha", "beta")
+    c_new = replace(c, **dict(zip(names, vec[p:].tolist())))
+    return ThetaParams.from_vector(vec[:p], theta.k.size, theta.dtau), c_new
+
+
+def _s3_step(r: np.ndarray, v: np.ndarray, cap: float) -> float:
+    """SQUAREM-S3 step length -alpha = |r|/|v|, clipped to [1, cap] without dividing by 0."""
+    rn, vn = np.linalg.norm(r), np.linalg.norm(v)
+    return max(1.0, rn / vn) if rn < cap * vn else cap
+
+
+def run_em(
+    mesh: CompartmentMesh,
+    scheme: SharingScheme,
+    data,
+    cfg: EmConfig,
+    constraint: str = SCALAR_IDENTITY,
+):
+    """EM identification: ``em_step`` iterated under SQUAREM acceleration.
+
+    ``data`` is a Trajectory providing observations y and inputs P; observed
+    compartments are those tagged in the mesh (their order fixes the rows of
+    C and must match the columns of y). Returns (theta, constraint, trace).
+    On failure the raised error carries the trace so far as ``exc.trace``.
+
+    SQUAREM-S3 (Varadhan & Roland, Scand. J. Stat. 35:335, 2008; see the
+    README): from EM steps x0 -> x1 -> x2 in log coordinates, the next E-step
+    runs at x0 - 2 alpha r + alpha^2 v if that does not lower the
+    log-likelihood below L(x1), else at x2. Diagonal constraints take plain steps.
+    """
+    prob, theta, c = em_setup(mesh, scheme, data, cfg, constraint)
+    ops = prob.ops
     trace = EmTrace(
         theta_names=tuple(ops.k_names or [f"k_{i}" for i in range(ops.n_k)])
         + tuple(ops.z_names or [f"z_{i}" for i in range(ops.n_z)]),
-        constraint_names=tuple(constraint_state.param_names()),
+        constraint_names=tuple(c.param_names()),
     )
-    prev_loglik = None
-    ll_warnings = 0
-    V_prev = None  # the last E-step's DARE solution warm-starts the next
+    warn = _Throttle()  # the run's clamp, floor and log-likelihood messages
+    result = (theta, c)  # what the run returns: the newest accepted EM output
 
-    try:
-        for it in range(cfg.max_iter):
-            # E-step with the lagged parameter set. The M-step covariance is of
-            # the dtau-scaled residuals, so the state-noise covariance carries
-            # a dtau^2 factor (a no-op at the default dtau = 1).
-            Q_state = cfg.dtau**2 * constraint_state.matrix()
-            model = assemble(ops, theta, observed, Q=Q_state, R=cfg.R)
-            out = rtss_steady(model, Y, P, T_1, V0=V_prev)
-            V_prev = out.V_S_minus
-            stats = accumulate_stats(out, P)
-
-            theta_new = update_theta(stats, ops, constraint_state.inv_matrix(), cfg.dtau)
-            Q_full = update_Q_full(stats, ops, theta_new)
-            constraint_new = project_constraint(Q_full, constraint_state)
-
-            rel = float(
-                np.max(
-                    np.abs(theta_new.vector - theta.vector)
-                    / np.maximum(np.abs(theta.vector), 1e-300)
-                )
-            )
-            trace.theta.append(theta_new.vector)
-            trace.constraint_params.append(constraint_new.params())
-            trace.loglik.append(out.loglik)
-            trace.q_residual.append(
-                float(np.linalg.norm(Q_full - constraint_new.matrix(), "fro"))
-            )
-            trace.theta_rel_change.append(rel)
-
-            if prev_loglik is not None and out.loglik < prev_loglik - 1e-8 * (
-                1.0 + abs(prev_loglik)
-            ):
-                ll_warnings += 1
-                level = logging.WARNING if ll_warnings <= 5 else logging.DEBUG
-                logger.log(
-                    level,
-                    "log-likelihood decreased beyond tolerance at iteration %d "
-                    "(%.6g -> %.6g)%s",
-                    it,
-                    prev_loglik,
-                    out.loglik,
-                    "" if ll_warnings != 5 else " (further decreases logged at DEBUG)",
-                )
-            prev_loglik = out.loglik
-            # Free this E-step's N x n means before the next E-step makes its own.
-            del out, stats
-
-            theta = theta_new
-            constraint_state = constraint_new
-            if rel < cfg.theta_tol:
-                trace.stop_reason = "converged"
-                break
+    def record(x, res, step):
+        """Append the row of the E-step at ``x`` (``res`` None: rejected); True to stop."""
+        nonlocal result
+        trace.step_length.append(step)
+        trace.rejected.append(res is None)
+        rel = np.inf
+        if res is None:
+            for col in (trace.theta, trace.constraint_params, trace.loglik, trace.q_residual,
+                        trace.theta_rel_change):
+                col.append(col[-1])
         else:
-            trace.stop_reason = "max_iter"
+            theta_new, c_new, loglik, _, Q_full = res
+            result = res[:2]
+            old = x[0].vector
+            rel = float(np.max(np.abs(theta_new.vector - old) / np.maximum(np.abs(old), 1e-300)))
+            if trace.loglik and loglik < trace.loglik[-1] - 1e-8 * (1.0 + abs(trace.loglik[-1])):
+                warn("log-likelihood decreased beyond tolerance at E-step %d (%.6g -> %.6g)",
+                     len(trace) + 1, trace.loglik[-1], loglik)
+            trace.theta.append(theta_new.vector)
+            trace.constraint_params.append(c_new.params())
+            trace.loglik.append(loglik)
+            trace.q_residual.append(float(np.linalg.norm(Q_full - c_new.matrix(), "fro")))
+            trace.theta_rel_change.append(rel)
+        converged = rel < cfg.theta_tol
+        if converged or len(trace) == cfg.max_iter:
+            trace.stop_reason = "converged" if converged else "max_iter"
+        return bool(trace.stop_reason)
+
+    amax, n = 1.0, ops.n_theta
+    x0, V0, head = (theta, c), None, None  # head: em_step at x0 once it has run
+    try:
+        while True:
+            if head is None:
+                head = prob.em_step(*x0, V0, warn)
+                if record(x0, head, 1.0):
+                    break
+            tail = prob.em_step(*head[:2], head[3], warn)
+            if record(head[:2], tail, 1.0):
+                break
+            x2, V1, L1 = tail[:2], tail[3], tail[2]
+            u0, u1 = _log_point(*x0), _log_point(*head[:2])
+            r = u1 - u0
+            v = _log_point(*x2) - u1 - r
+            # Theta sets the step; the covariance parameters take their own, at most theta's.
+            step = 1.0 if c.kind == DIAGONAL else _s3_step(r[:n], v[:n], amax)
+            if step == amax:
+                amax *= 4.0
+            if step == 1.0:
+                x0, V0, head = x2, V1, None
+                continue
+            s = np.full(r.size, step)
+            s[n:] = _s3_step(r[n:], v[n:], step)
+            try:
+                xe = _exp_point(u0 + 2.0 * s * r + s**2 * v, *x2)
+                held = []  # the M-step's messages count only if the point is accepted
+                res = prob.em_step(*xe, V1, lambda *msg: held.append(msg))
+                why = f"log-likelihood {res[2]:.6g} below {L1:.6g}"
+                why = None if res[2] >= L1 - 1e-8 * (1.0 + abs(L1)) else why
+            except (ThermemError, np.linalg.LinAlgError) as exc:
+                why = str(exc)
+            if why is None:
+                for msg in held:
+                    warn(*msg)
+                x0, head = xe, res
+                if record(xe, res, step):
+                    break
+            else:
+                logger.debug("extrapolation by %.3g rejected at E-step %d: %s",
+                             step, len(trace) + 1, why)
+                x0, V0, head = x2, V1, None
+                if record(None, None, step):
+                    break
     except ThermemError as exc:
         trace.stop_reason = f"aborted: {exc}"
         exc.trace = trace
         raise
 
-    return theta, constraint_state, trace
+    return (*result, trace)

@@ -2,8 +2,9 @@
 
 Trajectory CSV schema (header mandatory): one row per time step with columns
     t, T_1..T_n (full state) or y_1..y_ny (measurements), P_1..P_nP
-Traces are one row per EM iteration: iter, loglik, theta_rel_change,
-q_residual, then the named theta components and constraint parameters.
+Traces are one row per E-step: iter, loglik, theta_rel_change, q_residual,
+the named theta components and constraint parameters, then step_length and
+rejected (files written before these two columns existed read the same way).
 Both CSVs write every number as ``%.12g`` (12 significant digits; ``nan``,
 ``inf``, ``-inf`` and ``-0`` as such), the format of earlier files.
 """
@@ -197,6 +198,7 @@ def write_trace_csv(path, trace: EmTrace):
         ["iter", "loglik", "theta_rel_change", "q_residual"]
         + list(trace.theta_names)
         + list(trace.constraint_names)
+        + ["step_length", "rejected"]
     )
     rows = np.column_stack(
         [
@@ -206,6 +208,8 @@ def write_trace_csv(path, trace: EmTrace):
             np.asarray(trace.q_residual),
             theta,
             cparams,
+            np.asarray(trace.step_length),
+            np.asarray(trace.rejected),
         ]
     )
     _write_csv(path, header, [rows])

@@ -25,6 +25,7 @@ from thermem.datagen import (
 from thermem.estimation import (
     CovarianceConstraint,
     EmConfig,
+    _Throttle,
     _quadratic_terms,
     _theta_terms,
     project_constraint,
@@ -111,10 +112,13 @@ def test_criterion_1_parameter_recovery(reduced):
     )
     elapsed = time.time() - t0
     rel = np.abs(theta.k - STRONG_K_TRUE) / STRONG_K_TRUE
+    k_rows = np.asarray(trace.theta)[:, : STRONG_K_TRUE.size]
+    met = np.nonzero((np.abs(k_rows - STRONG_K_TRUE) / STRONG_K_TRUE).max(axis=1) < 0.005)[0]
     print(
         f"CRITERION 1: {'PASS' if rel.max() < 0.005 else 'FAIL'} - "
-        f"max relative k error {rel.max():.2e} (bound 5e-3 at reduced scale), "
-        f"{len(trace)} iterations in {elapsed:.0f}s (target < 600s)"
+        f"max relative k error {rel.max():.2e} (bound 5e-3 at reduced scale, first met at "
+        f"E-step {met[0] + 1 if met.size else None}), {len(trace)} E-steps "
+        f"({trace.stop_reason}) in {elapsed:.0f}s (target < 600s)"
     )
     assert rel.max() < 0.005, f"relative errors {rel}"
     assert elapsed < 600.0
@@ -431,8 +435,8 @@ def test_criterion_7_structural_invariants(reduced):
         XX=X[:-1].T @ X[:-1], XU=X[:-1].T @ P_s[:-1], ZZ=X[1:].T @ X[1:],
         ZU=X[1:].T @ P_s[:-1], XZ=X[:-1].T @ X[1:], UU=P_s[:-1].T @ P_s[:-1], N=traj.N,
     )
-    t_a = update_theta(stats, ops_s, np.eye(ops_s.n), theta_s.dtau)
-    t_b = update_theta(stats, ops_s, np.eye(ops_s.n) / 7.0, theta_s.dtau)
+    t_a = update_theta(stats, ops_s, np.eye(ops_s.n), theta_s.dtau, _Throttle())
+    t_b = update_theta(stats, ops_s, np.eye(ops_s.n) / 7.0, theta_s.dtau, _Throttle())
     q_inv_err = np.abs(t_a.vector - t_b.vector).max() / np.abs(t_a.vector).max()
     assert q_inv_err < 1e-12
 
@@ -443,7 +447,7 @@ def test_criterion_7_structural_invariants(reduced):
             (rng.uniform(size=(5, 5)) > 0.5).astype(float), 0.3, 0.2
         ),
     ):
-        again = project_constraint(c.matrix(), c)
+        again = project_constraint(c.matrix(), c, _Throttle())
         assert np.allclose(again.params(), c.params(), rtol=1e-12)
 
     elapsed = time.time() - t0

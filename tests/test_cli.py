@@ -76,6 +76,10 @@ def test_generate_identify_predict_report_roundtrip(tmp_path):
     assert summary["stop_reason"] in ("converged", "max_iter")
     names, trace = read_trace_csv(os.path.join(out_dir, "trace.csv"))
     assert trace.shape[0] == summary["iterations"]
+    assert names[-2:] == ["step_length", "rejected"]
+    steps, rejected = trace[:, -2], trace[:, -1]
+    assert summary["extrapolations_rejected"] == rejected.sum()
+    assert summary["extrapolations_accepted"] == ((steps > 1) & (rejected == 0)).sum()
     rel = np.abs(theta.k - np.array(SMALL_CONFIG["theta_true"]["k"]))
     assert rel.max() / 0.02 < 1.0  # identified within coarse tolerance
 
@@ -132,6 +136,31 @@ def test_custom_mesh_noise_variance_matches_manifest(tmp_path):
     truth = read_trajectory_csv(os.path.join(out_dir, "truth.csv"))
     noise = data.y - truth.T[:, manifest["observed_indices"]]
     assert abs(noise.var() / manifest["R"] - 1.0) < 0.1
+
+
+def test_noiseless_AAt_manifest_records_nominal_R(tmp_path):
+    cfg_path, out_dir = write_config(tmp_path, {
+        "em": {"R": 1e-4},
+        "generate": {"N": 50, "seed": 3, "noise": {"kind": "AAt", "sigma2": 0.0}},
+    })
+    assert main(["generate", "--config", cfg_path]) == 0
+    manifest = read_manifest(os.path.join(out_dir, "manifest.json"))
+    assert manifest["R"] == 1e-10
+    data = read_trajectory_csv(os.path.join(out_dir, "dataset.csv"))
+    truth = read_trajectory_csv(os.path.join(out_dir, "truth.csv"))
+    assert np.array_equal(data.y, truth.T[:, manifest["observed_indices"]])
+
+
+def test_report_reads_trace_without_step_columns(tmp_path):
+    # Traces written before step_length and rejected were appended.
+    path = tmp_path / "trace.csv"
+    path.write_text("iter,loglik,theta_rel_change,q_residual,k_0,z_0,q\n"
+                    "1,-10.5,0.5,0.001,0.02,0.3,0.01\n2,-9.25,0.1,0.001,0.021,0.31,0.009\n")
+    names, data = read_trace_csv(str(path))
+    assert names[-1] == "q" and data.shape == (2, 7)
+    out = tmp_path / "report.csv"
+    assert main(["report", str(path), "--out", str(out)]) == 0
+    assert "-9.25" in out.read_text()
 
 
 def test_em_config_defaults_come_from_emconfig():

@@ -1,18 +1,26 @@
 """M-step estimators, constraint projections, and the EM loop."""
 
 import logging
+import warnings
 
 import numpy as np
 import pytest
 
 from _oracles import bruteforce_terms, dense_M, dense_structure
-from thermem.errors import ConfigurationError, IdentifiabilityError
+from thermem.errors import (
+    ConfigurationError,
+    ConvergenceError,
+    IdentifiabilityError,
+    StabilityError,
+)
 from thermem.estimation import (
     CovarianceConstraint,
     EmConfig,
+    _Throttle,
     _quadratic_terms,
     _theta_terms,
     build_L,
+    em_setup,
     project_constraint,
     run_em,
     update_Q_full,
@@ -109,8 +117,8 @@ def test_update_theta_scalar_identity_invariant_to_q():
     mesh, scheme, ops, rng = small_setup(seed=7)
     out, traj, _ = stats_from_run(mesh, scheme, ops, rng)
     stats = accumulate_stats(out, traj.P)
-    t1 = update_theta(stats, ops, np.eye(ops.n) / 1.0, 1.0)
-    t5 = update_theta(stats, ops, np.eye(ops.n) / 5.0, 1.0)
+    t1 = update_theta(stats, ops, np.eye(ops.n) / 1.0, 1.0, _Throttle())
+    t5 = update_theta(stats, ops, np.eye(ops.n) / 5.0, 1.0, _Throttle())
     np.testing.assert_allclose(t1.vector, t5.vector, rtol=1e-12)
 
 
@@ -142,7 +150,7 @@ def test_update_theta_single_edge_exact_recovery():
         ZU=X[1:].T @ P[:-1], XZ=X[:-1].T @ X[1:], UU=P[:-1].T @ P[:-1],
         N=traj.N,
     )
-    theta = update_theta(stats, ops, np.eye(ops.n), theta_true.dtau)
+    theta = update_theta(stats, ops, np.eye(ops.n), theta_true.dtau, _Throttle())
     np.testing.assert_allclose(theta.vector, ref, atol=1e-8)
     np.testing.assert_allclose(theta.k[0], k_true, atol=1e-8)
     np.testing.assert_allclose(theta.z[0], z_true, atol=1e-8)
@@ -151,7 +159,7 @@ def test_update_theta_single_edge_exact_recovery():
 def test_update_theta_names_null_space():
     mesh, scheme, ops, _ = small_setup()
     with pytest.raises(IdentifiabilityError) as err:
-        update_theta(zero_stats(ops.n, ops.n_P), ops, np.eye(ops.n), 1.0)
+        update_theta(zero_stats(ops.n, ops.n_P), ops, np.eye(ops.n), 1.0, _Throttle())
     assert err.value.null_indices
 
 
@@ -219,21 +227,21 @@ def test_update_Q_full_matches_residual_outer_products():
 
 def test_project_scalar_identity_trace():
     c = CovarianceConstraint.scalar_identity(1.0, 2)
-    out = project_constraint(np.diag([2.0, 2.0]), c)
+    out = project_constraint(np.diag([2.0, 2.0]), c, _Throttle())
     assert out.q == 2.0
 
 
 def test_project_diagonal_extracts_diagonal():
     c = CovarianceConstraint.diagonal(1.0, 3)
     Q = np.array([[1.0, 0.2, 0.0], [0.2, 2.0, 0.1], [0.0, 0.1, 3.0]])
-    out = project_constraint(Q, c)
+    out = project_constraint(Q, c, _Throttle())
     np.testing.assert_array_equal(out.q_vec, [1.0, 2.0, 3.0])
 
 
 def test_project_alpha_beta_hand_solution():
     L = np.array([[1.0, 0.0], [1.0, 0.0]])  # LL' = ones(2,2)
     c = CovarianceConstraint.alpha_LL_beta_I(L, 1.0, 1.0)
-    out = project_constraint(np.array([[2.0, 1.0], [1.0, 2.0]]), c)
+    out = project_constraint(np.array([[2.0, 1.0], [1.0, 2.0]]), c, _Throttle())
     assert out.alpha == pytest.approx(1.0, abs=1e-12)
     assert out.beta == pytest.approx(1.0, abs=1e-12)
 
@@ -248,21 +256,21 @@ def test_project_idempotent():
             (rng.uniform(size=(n, n)) > 0.6).astype(float), 0.2, 0.4
         ),
     ):
-        out = project_constraint(c.matrix(), c)
+        out = project_constraint(c.matrix(), c, _Throttle())
         np.testing.assert_allclose(out.params(), c.params(), rtol=1e-12)
 
 
 def test_project_collinear_LL_raises():
     c = CovarianceConstraint.alpha_LL_beta_I(np.eye(3), 1.0, 1.0)  # LL' = I
     with pytest.raises(ConfigurationError):
-        project_constraint(np.eye(3), c)
+        project_constraint(np.eye(3), c, _Throttle())
 
 
 def test_project_clamps_nonpositive_fit(caplog):
     L = np.array([[1.0, 0.0], [1.0, 0.0]])
     c = CovarianceConstraint.alpha_LL_beta_I(L, 1.0, 1.0)
     with caplog.at_level(logging.WARNING, logger="thermem.estimation"):
-        out = project_constraint(np.diag([-5.0, -5.0]), c)
+        out = project_constraint(np.diag([-5.0, -5.0]), c, _Throttle())
     assert out.alpha == pytest.approx(1e-12)
     assert out.beta == pytest.approx(1e-12)
     assert any("flooring" in rec.message for rec in caplog.records)
@@ -371,12 +379,28 @@ def test_run_em_unknown_constraint():
         run_em(mesh, scheme, traj, EmConfig(max_iter=1), constraint="banana")
 
 
+def plain_em_loop(mesh, scheme, traj, cfg, constraint, steps, warm=True):
+    """``steps`` em_step calls, warm-started from the last DARE solution or
+    cold, their messages throttled as in one run; returns (theta, constraint,
+    logliks)."""
+    prob, theta, c = em_setup(mesh, scheme, traj, cfg, constraint)
+    V, ll, warn = None, [], _Throttle()
+    for _ in range(steps):
+        theta, c, loglik, V, _ = prob.em_step(theta, c, V if warm else None, warn)
+        ll.append(loglik)
+    return theta, c, ll
+
+
 def test_run_em_warm_dare_matches_cold(monkeypatch):
     import thermem.estimation as estimation
 
     mesh, scheme, ops, theta_true, traj = em_toy_problem(noise_q=1e-5, seed=4)
     cfg = EmConfig(max_iter=20, theta_tol=1e-300, R=1e-8)
-    theta_warm, _, _ = run_em(mesh, scheme, traj, cfg)
+    # Plain steps: SQUAREM's long extrapolations magnify the certified DARE
+    # residuals of the two paths far beyond the solver tolerance.
+    warm, cold = (plain_em_loop(mesh, scheme, traj, cfg, "scalar_identity", 20, w)[0]
+                  for w in (True, False))
+    np.testing.assert_allclose(warm.vector, cold.vector, rtol=1e-8, atol=0)
 
     warm_rtss = estimation.rtss_steady
     starts = []
@@ -386,8 +410,167 @@ def test_run_em_warm_dare_matches_cold(monkeypatch):
         return warm_rtss(model, Y, P, T_1)
 
     monkeypatch.setattr(estimation, "rtss_steady", cold_rtss)
-    theta_cold, _, trace = run_em(mesh, scheme, traj, cfg)
+    _, _, trace = run_em(mesh, scheme, traj, cfg)
     assert len(trace) == 20
     # run_em hands every E-step after the first the previous DARE solution.
     assert starts[0] is None and all(V is not None for V in starts[1:])
-    np.testing.assert_allclose(theta_warm.vector, theta_cold.vector, rtol=1e-8, atol=0)
+
+
+@pytest.mark.parametrize("max_iter", [2, 3, 4, 5, 8, 25])
+def test_run_em_runs_max_iter_esteps(monkeypatch, max_iter):
+    import thermem.estimation as estimation
+
+    mesh, scheme, ops, theta_true, traj = em_toy_problem(noise_q=1e-5, seed=4)
+    calls = []
+    real_rtss = estimation.rtss_steady
+    monkeypatch.setattr(
+        estimation, "rtss_steady", lambda *a, **kw: calls.append(1) or real_rtss(*a, **kw)
+    )
+    cfg = EmConfig(max_iter=max_iter, theta_tol=1e-300, R=1e-8)
+    _, _, trace = run_em(mesh, scheme, traj, cfg)
+    assert len(trace) == max_iter == len(calls)
+    assert trace.stop_reason == "max_iter"
+    assert len(trace.step_length) == len(trace.rejected) == len(trace.loglik) == max_iter
+
+
+@pytest.mark.parametrize("constraint", ["scalar_identity", "alpha_LL_beta_I"])
+def test_run_em_first_cycle_is_plain_em(constraint):
+    mesh, scheme, ops, theta_true, traj = em_toy_problem(noise_q=1e-5, seed=4)
+    cfg = EmConfig(max_iter=3, theta_tol=1e-300, R=1e-8)
+    theta, c, ll = plain_em_loop(mesh, scheme, traj, cfg, constraint, 3)
+    theta_run, c_run, trace = run_em(mesh, scheme, traj, cfg, constraint=constraint)
+    assert np.array_equal(theta_run.vector, theta.vector)
+    assert np.array_equal(c_run.params(), c.params())
+    assert trace.loglik == ll and trace.step_length == [1.0] * 3
+
+
+def test_run_em_diagonal_takes_plain_steps():
+    mesh, scheme, ops, theta_true, traj = em_toy_problem(noise_q=1e-5, seed=4)
+    cfg = EmConfig(max_iter=12, theta_tol=1e-300, R=1e-8)
+    theta, c, ll = plain_em_loop(mesh, scheme, traj, cfg, "diagonal", 12)
+    theta_run, c_run, trace = run_em(mesh, scheme, traj, cfg, constraint="diagonal")
+    assert np.array_equal(theta_run.vector, theta.vector)
+    assert np.array_equal(c_run.q_vec, c.q_vec)
+    assert trace.loglik == ll and set(trace.step_length) == {1.0}
+
+
+def test_run_em_accepted_rows_never_lower_loglik(caplog):
+    mesh, scheme, ops, theta_true, traj = em_toy_problem(noise_q=1e-5, seed=4)
+    cfg = EmConfig(max_iter=40, theta_tol=1e-300, R=1e-8)
+    with caplog.at_level(logging.DEBUG, logger="thermem.estimation"):
+        _, _, trace = run_em(mesh, scheme, traj, cfg)
+    steps, rejected = np.array(trace.step_length), np.array(trace.rejected)
+    assert (rejected & (steps > 1)).any() and (~rejected & (steps > 1)).any()
+    ll = np.array(trace.loglik)
+    for i in np.nonzero(~rejected[1:])[0] + 1:
+        assert ll[i] >= ll[i - 1] - 1e-8 * (1 + abs(ll[i - 1])), f"row {i + 1}"
+    # A rejected row repeats the row before it; its drop is not reported.
+    for i in np.nonzero(rejected)[0]:
+        assert np.array_equal(trace.theta[i], trace.theta[i - 1]) and ll[i] == ll[i - 1]
+    assert not any(r.getMessage().startswith("log-likelihood decreased") for r in caplog.records)
+    assert not any(r.levelno >= logging.WARNING for r in caplog.records)
+
+
+def test_run_em_rejected_mstep_logs_nothing(monkeypatch, caplog):
+    """Every extrapolation completes its M-step (which floors alpha) and is then
+    rejected: the run logs exactly the clamps and floors of plain EM."""
+    import dataclasses
+
+    import thermem.estimation as estimation
+
+    mesh, scheme, ops, theta_true, traj = em_toy_problem(noise_q=1e-5, seed=4)
+    real_rtss, real_exp = estimation.rtss_steady, estimation._exp_point
+    extrapolated = []
+
+    def flag_exp(*args):
+        extrapolated.append(True)
+        return real_exp(*args)
+
+    def unlikely_rtss(*args, **kwargs):
+        out = real_rtss(*args, **kwargs)
+        if extrapolated:
+            extrapolated.clear()
+            return dataclasses.replace(out, loglik=-1e300)
+        return out
+
+    monkeypatch.setattr(estimation, "_exp_point", flag_exp)
+    monkeypatch.setattr(estimation, "rtss_steady", unlikely_rtss)
+    cfg = EmConfig(max_iter=20, theta_tol=1e-300, R=1e-8)
+
+    def mstep_records(run):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="thermem.estimation"):
+            run()
+        return [(r.levelno, r.getMessage()) for r in caplog.records
+                if r.getMessage().startswith(("clamping", "flooring"))]
+
+    trace = []
+    got = mstep_records(lambda: trace.append(
+        run_em(mesh, scheme, traj, cfg, constraint="alpha_LL_beta_I")[2]))
+    rejected = sum(trace[0].rejected)
+    assert rejected >= 3 and rejected == sum(s > 1 for s in trace[0].step_length)
+    want = mstep_records(lambda: plain_em_loop(
+        mesh, scheme, traj, cfg, "alpha_LL_beta_I", 20 - rejected))
+    assert got == want and len(got) > 5
+
+
+def test_run_em_last_rejected_row_returns_x2():
+    mesh, scheme, ops, theta_true, traj = em_toy_problem(noise_q=1e-5, seed=4)
+    cfg = EmConfig(max_iter=40, theta_tol=1e-300, R=1e-8)
+    _, _, full = run_em(mesh, scheme, traj, cfg)
+    first = full.rejected.index(True) + 1
+    cfg.max_iter = first
+    theta, c, trace = run_em(mesh, scheme, traj, cfg)
+    assert trace.rejected[-1] and not trace.rejected[-2]
+    # x2 is the output of the plain step before the rejected extrapolation.
+    assert np.array_equal(theta.vector, full.theta[first - 2])
+    assert np.array_equal(c.params(), full.constraint_params[first - 2])
+
+
+@pytest.mark.parametrize("error", [StabilityError, ConvergenceError, "huge q"])
+def test_run_em_failed_extrapolation_falls_back(monkeypatch, error):
+    import thermem.estimation as estimation
+
+    mesh, scheme, ops, theta_true, traj = em_toy_problem(noise_q=1e-5, seed=4)
+    real_rtss, real_exp = estimation.rtss_steady, estimation._exp_point
+    extrapolated = []
+
+    def flag_exp(u, *args):
+        extrapolated.append(True)
+        if error == "huge q":  # q = e^400: finite, but the E-step's q^2 is not
+            u = np.concatenate([u[:-1], [400.0]])
+        return real_exp(u, *args)
+
+    def failing_rtss(*args, **kwargs):
+        if extrapolated:
+            extrapolated.clear()
+            if error != "huge q":
+                raise error("extrapolated point refused")
+        return real_rtss(*args, **kwargs)
+
+    monkeypatch.setattr(estimation, "_exp_point", flag_exp)
+    monkeypatch.setattr(estimation, "rtss_steady", failing_rtss)
+    cfg = EmConfig(max_iter=30, theta_tol=1e-300, R=1e-8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        theta, c, trace = run_em(mesh, scheme, traj, cfg)
+    steps, rejected = np.array(trace.step_length), np.array(trace.rejected)
+    assert len(trace) == 30 and rejected.sum() >= 3
+    assert np.array_equal(rejected, steps > 1)  # every extrapolation fell back
+    for col in (trace.theta, trace.constraint_params, trace.loglik, trace.theta_rel_change):
+        assert np.isfinite(np.asarray(col)).all()
+    assert np.isfinite(theta.vector).all() and np.isfinite(c.params()).all()
+    # Fallback rows go on from x2: every non-rejected step is plain EM.
+    plain, _, ll = plain_em_loop(mesh, scheme, traj, cfg, "scalar_identity", 30 - rejected.sum())
+    np.testing.assert_allclose(theta.vector, plain.vector, rtol=1e-6)
+
+
+def test_run_em_floor_warnings_rate_limited(caplog):
+    mesh, scheme, ops, theta_true, traj = em_toy_problem(noise_q=1e-5, seed=4)
+    cfg = EmConfig(max_iter=20, theta_tol=1e-300, R=1e-8)
+    with caplog.at_level(logging.DEBUG, logger="thermem.estimation"):
+        run_em(mesh, scheme, traj, cfg, constraint="alpha_LL_beta_I")
+    floors = [r for r in caplog.records if r.getMessage().startswith("flooring")]
+    levels = [r.levelno for r in floors]
+    assert levels[:5] == [logging.WARNING] * 5 and set(levels[5:]) == {logging.DEBUG}
+    assert "further ones logged at DEBUG" in floors[4].getMessage()
