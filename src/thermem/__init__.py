@@ -23,7 +23,6 @@ from thermem.mesh import (
     build_grid,
     prune_inactive,
     refine,
-    refine_at,
     refine_many,
 )
 from thermem.graph import GraphOperators, SharingScheme, build_operators
@@ -36,7 +35,7 @@ from thermem.model import (
     predict,
     simulate,
 )
-from thermem.solvers import DareProblem, DlyapProblem, solve_dare, solve_dlyap
+from thermem.solvers import DareProblem, solve_dare, solve_dlyap
 from thermem.smoother import (
     SmootherOutput,
     SmootherStats,

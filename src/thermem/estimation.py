@@ -67,58 +67,46 @@ class _Throttle:
 
 @dataclass(eq=False)
 class CovarianceConstraint:
-    """Structured process-noise covariance with its current parameters."""
+    """Structured process-noise covariance with its current parameters:
+    ``params`` is [q] (qI), the n variances (diagonal) or [alpha, beta]
+    (alpha LL' + beta I, with ``LL`` set)."""
 
     kind: str
     n: int
-    q: float = 0.0
-    q_vec: Optional[np.ndarray] = None
-    alpha: float = 0.0
-    beta: float = 0.0
-    LL: Optional[np.ndarray] = field(default=None, repr=False)  # L L' of alpha LL' + beta I
+    params: np.ndarray
+    LL: Optional[np.ndarray] = field(default=None, repr=False)
 
     @staticmethod
     def scalar_identity(q: float, n: int) -> "CovarianceConstraint":
         if q <= 0:
             raise ValueError("q must be positive")
-        return CovarianceConstraint(kind=SCALAR_IDENTITY, n=n, q=float(q))
+        return CovarianceConstraint(SCALAR_IDENTITY, n, np.array([float(q)]))
 
     @staticmethod
     def diagonal(q, n: int) -> "CovarianceConstraint":
         q_vec = np.full(n, float(q)) if np.isscalar(q) else np.asarray(q, dtype=np.float64)
         if q_vec.shape != (n,) or np.any(q_vec <= 0):
             raise ValueError("diagonal q must be a positive length-n vector")
-        return CovarianceConstraint(kind=DIAGONAL, n=n, q_vec=q_vec)
+        return CovarianceConstraint(DIAGONAL, n, q_vec)
 
     @staticmethod
     def alpha_LL_beta_I(L: np.ndarray, alpha: float, beta: float) -> "CovarianceConstraint":
         L = np.asarray(L, dtype=np.float64)
-        n = L.shape[0]
         if alpha <= 0 or beta <= 0:
             raise ValueError("alpha and beta must be positive")
-        return CovarianceConstraint(kind=ALPHA_LL_BETA_I, n=n, alpha=float(alpha), beta=float(beta), LL=L @ L.T)
+        return CovarianceConstraint(ALPHA_LL_BETA_I, L.shape[0], np.array([alpha, beta], dtype=np.float64),
+                                    L @ L.T)
 
     def matrix(self) -> np.ndarray:
-        if self.kind == SCALAR_IDENTITY:
-            return self.q * np.eye(self.n)
-        if self.kind == DIAGONAL:
-            return np.diag(self.q_vec)
-        return self.alpha * self.LL + self.beta * np.eye(self.n)
+        if self.LL is None:
+            return np.diag(np.broadcast_to(self.params, self.n))
+        alpha, beta = self.params
+        return alpha * self.LL + beta * np.eye(self.n)
 
     def inv_matrix(self) -> np.ndarray:
-        if self.kind == SCALAR_IDENTITY:
-            return (1.0 / self.q) * np.eye(self.n)
-        if self.kind == DIAGONAL:
-            return np.diag(1.0 / self.q_vec)
+        if self.LL is None:
+            return np.diag(1.0 / np.broadcast_to(self.params, self.n))
         return np.linalg.inv(self.matrix())
-
-    def params(self) -> np.ndarray:
-        """Flat parameter vector recorded in EM traces."""
-        if self.kind == SCALAR_IDENTITY:
-            return np.array([self.q])
-        if self.kind == DIAGONAL:
-            return self.q_vec.copy()
-        return np.array([self.alpha, self.beta])
 
     def param_names(self):
         if self.kind == SCALAR_IDENTITY:
@@ -247,44 +235,31 @@ def update_Q_full(stats: SmootherStats, ops: GraphOperators, theta: ThetaParams)
 
 
 def project_constraint(Q_full, c: CovarianceConstraint, warn) -> CovarianceConstraint:
-    """Constraint-family parameters nearest (Frobenius) to Q_full; ``warn`` logs floors."""
+    """Constraint-family parameters nearest (Frobenius) to Q_full, floored at
+    PARAM_FLOOR; ``warn`` logs floors."""
     n = c.n
     if c.kind == SCALAR_IDENTITY:
-        q = float(np.trace(Q_full)) / n
-        return CovarianceConstraint(kind=SCALAR_IDENTITY, n=n, q=_floored(q, "q", warn))
-    if c.kind == DIAGONAL:
-        q_vec = np.diagonal(Q_full).copy()
-        low = q_vec < PARAM_FLOOR
-        if low.any():
-            warn("flooring %d diagonal covariance entries at %.0e", low.sum(), PARAM_FLOOR)
-            q_vec[low] = PARAM_FLOOR
-        return CovarianceConstraint(kind=DIAGONAL, n=n, q_vec=q_vec)
-    # alpha LL' + beta I: two-variable least squares on vec(Q_full).
-    LL = c.LL
-    a11 = float(np.sum(LL * LL))
-    a12 = float(np.trace(LL))
-    a22 = float(n)
-    det = a11 * a22 - a12 * a12
-    if det <= 1e-12 * max(a11, a22) ** 2:
-        raise ConfigurationError("vec(LL') and vec(I) are collinear; constraint is degenerate")
-    b1 = float(np.sum(LL * Q_full))
-    b2 = float(np.trace(Q_full))
-    alpha = (a22 * b1 - a12 * b2) / det
-    beta = (a11 * b2 - a12 * b1) / det
-    return CovarianceConstraint(
-        kind=ALPHA_LL_BETA_I,
-        n=n,
-        alpha=_floored(alpha, "alpha", warn),
-        beta=_floored(beta, "beta", warn),
-        LL=LL,
-    )
-
-
-def _floored(value: float, name: str, warn) -> float:
-    if value < PARAM_FLOOR:
-        warn("flooring nonpositive %s=%.3g at %.0e", name, value, PARAM_FLOOR)
-        return PARAM_FLOOR
-    return float(value)
+        vec = np.array([float(np.trace(Q_full)) / n])
+    elif c.kind == DIAGONAL:
+        vec = np.diagonal(Q_full).copy()
+    else:
+        # alpha LL' + beta I: two-variable least squares on vec(Q_full).
+        LL = c.LL
+        a11 = float(np.sum(LL * LL))
+        a12 = float(np.trace(LL))
+        a22 = float(n)
+        det = a11 * a22 - a12 * a12
+        if det <= 1e-12 * max(a11, a22) ** 2:
+            raise ConfigurationError("vec(LL') and vec(I) are collinear; constraint is degenerate")
+        b1 = float(np.sum(LL * Q_full))
+        b2 = float(np.trace(Q_full))
+        vec = np.array([(a22 * b1 - a12 * b2) / det, (a11 * b2 - a12 * b1) / det])
+    low = vec < PARAM_FLOOR
+    if low.any():
+        warn("flooring %d %s covariance parameter(s) (smallest %.3g) at %.0e",
+             low.sum(), c.kind, vec.min(), PARAM_FLOOR)
+        vec[low] = PARAM_FLOOR
+    return replace(c, params=vec)
 
 
 def build_L(ops: GraphOperators) -> np.ndarray:
@@ -408,7 +383,7 @@ def em_setup(mesh: CompartmentMesh, scheme: SharingScheme, data, cfg: EmConfig, 
 
 def _log_point(theta: ThetaParams, c: CovarianceConstraint) -> np.ndarray:
     """SQUAREM coordinates: log theta (floored) and log q, or log alpha, beta."""
-    return np.log(np.maximum(np.concatenate([theta.vector, c.params()]), PARAM_FLOOR))
+    return np.log(np.maximum(np.concatenate([theta.vector, c.params]), PARAM_FLOOR))
 
 
 def _exp_point(u: np.ndarray, theta: ThetaParams, c: CovarianceConstraint):
@@ -417,9 +392,7 @@ def _exp_point(u: np.ndarray, theta: ThetaParams, c: CovarianceConstraint):
     if u.max() > 0.5 * np.log(np.finfo(np.float64).max):
         raise NumericalError("extrapolated parameter overflows")
     vec, p = np.exp(np.maximum(u, np.log(PARAM_FLOOR))), theta.vector.size
-    names = ("q",) if c.kind == SCALAR_IDENTITY else ("alpha", "beta")
-    c_new = replace(c, **dict(zip(names, vec[p:].tolist())))
-    return ThetaParams.from_vector(vec[:p], theta.k.size, theta.dtau), c_new
+    return ThetaParams.from_vector(vec[:p], theta.k.size, theta.dtau), replace(c, params=vec[p:])
 
 
 def _s3_step(r: np.ndarray, v: np.ndarray, cap: float) -> float:
@@ -476,7 +449,7 @@ def run_em(
                 warn("log-likelihood decreased beyond tolerance at E-step %d (%.6g -> %.6g)",
                      len(trace) + 1, trace.loglik[-1], loglik)
             trace.theta.append(theta_new.vector)
-            trace.constraint_params.append(c_new.params())
+            trace.constraint_params.append(c_new.params)
             trace.loglik.append(loglik)
             trace.q_residual.append(float(np.linalg.norm(Q_full - c_new.matrix(), "fro")))
             trace.theta_rel_change.append(rel)

@@ -18,7 +18,7 @@ import numpy as np
 
 from thermem.errors import ThermemError
 from thermem.estimation import EmTrace
-from thermem.model import Trajectory
+from thermem.model import ThetaParams, Trajectory
 
 
 class DataFormatError(ThermemError):
@@ -221,40 +221,18 @@ def read_trace_csv(path):
 
 
 def write_theta_json(path, theta, theta_names=()):
-    _ensure_dir(path)
-    payload = {
-        "k": theta.k.tolist(),
-        "z": theta.z.tolist(),
-        "dtau": theta.dtau,
-    }
+    payload = {"k": theta.k.tolist(), "z": theta.z.tolist(), "dtau": theta.dtau}
     if theta_names:
         payload["names"] = list(theta_names)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_manifest(path, payload)
 
 
 def read_theta_json(path):
-    from thermem.model import ThetaParams
-
-    with open(path, "r") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{path}: {exc}") from exc
+    payload = read_manifest(path)
     return ThetaParams(k=payload["k"], z=payload["z"], dtau=payload.get("dtau", 1.0))
 
 
 def write_constraint_json(path, constraint):
-    _ensure_dir(path)
-    payload = {"kind": constraint.kind, "n": constraint.n}
-    if constraint.kind == "scalar_identity":
-        payload["q"] = constraint.q
-    elif constraint.kind == "diagonal":
-        payload["q_vec"] = constraint.q_vec.tolist()
-    else:
-        payload["alpha"] = constraint.alpha
-        payload["beta"] = constraint.beta
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    """``kind``, ``n``, then one key per constraint parameter (``param_names()``)."""
+    params = dict(zip(constraint.param_names(), constraint.params.tolist()))
+    write_manifest(path, {"kind": constraint.kind, "n": constraint.n, **params})

@@ -117,9 +117,6 @@ class CompartmentMesh:
         """Unordered coupling pairs {(i, j): weight} with i < j."""
         return {(i, j): w for (i, j, w) in self.adjacency if i < j}
 
-    def neighbors(self, index: int):
-        return [(j, w) for (i, j, w) in self.adjacency if i == index]
-
     def indices(self, role: Optional[str] = None, layer: Optional[int] = None):
         """Compartment indices filtered by role and/or layer, in index order."""
         out = []
@@ -373,11 +370,6 @@ def refine_many(mesh: CompartmentMesh, cell_indices) -> CompartmentMesh:
         else:
             cells.append(c)
     return _assemble(cells, mesh.nx, mesh.ny, mesh.nz, mesh.cell_size, mesh.max_refinement_level)
-
-
-def refine_at(mesh: CompartmentMesh, layer: int, ix: int, iy: int) -> CompartmentMesh:
-    """Refine the level-0 cell at base-grid coordinates."""
-    return refine(mesh, mesh.base_cell(layer, ix, iy).index)
 
 
 def prune_inactive(mesh: CompartmentMesh, keep: Callable[[Compartment], bool]):

@@ -4,16 +4,18 @@ The one-step update for compartment temperatures is
     T[t+1] = A T[t] + B P[t] + w[t],        w ~ N(0, Q)
     y[t]   = C T[t] + v[t],                 v ~ N(0, R)
 with
-    A = I - dtau * sum_a k_a S_a            (= I - dtau * Io_dyn diag(C_sel k) J')
-    B = dtau * B_sel diag(A_sel z)
+    A = I - dtau * ops.coupling_sum(k)      (= I - dtau * sum_a k_a S_a)
+    B = dtau * ops.source_matrix(z)
 built from the graph operators (see thermem.graph), so every row of A sums
 to one (a uniform temperature offset is preserved) and the ambient row is
 exactly the identity. The same update is linear in the parameter vector
 theta = [k', z']':
     T[t+1] = T[t] + dtau * M[t] theta + w[t]
-where M[t] = [-S_1 T[t], ..., -S_nk T[t], B_sel diag(P[t]) A_sel] is the
-per-step regression matrix; the M-step never forms it and works on its
-expected sums (thermem.estimation).
+where M[t] theta = -ops.coupling_sum(k) T[t] + ops.source_matrix(z) P[t]:
+column a of the per-step regression matrix M[t] is -S_a T[t], and column
+n_k + b is ops.source_matrix(e_b) P[t], the class-b input powers placed at
+their compartments. The M-step never forms M[t] and works on its expected
+sums (thermem.estimation).
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ import scipy.linalg as sla
 from thermem import _kernels
 from thermem.errors import NumericalError
 from thermem.model import StateSpaceModel
-from thermem.solvers import DareProblem, DlyapProblem, solve_dare, solve_dlyap
+from thermem.solvers import DareProblem, solve_dare, solve_dlyap
 
 
 @dataclass(eq=False)
@@ -110,7 +110,7 @@ def rtss_steady(model: StateSpaceModel, Y, P, T_1, V0=None) -> SmootherOutput:
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"predicted covariance singular in backward gain: {exc}") from exc
     W = V_plus - J_S @ V_minus @ J_S.T
-    V_S_N = solve_dlyap(DlyapProblem(J=J_S, W=(W + W.T) / 2))
+    V_S_N = solve_dlyap(J_S, W)
 
     x_smooth = _kernels.smooth_steady(A, model.B, J_S, x_filt, P_dyn)
     loglik = _loglik_from_innovations(innov, S)

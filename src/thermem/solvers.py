@@ -32,12 +32,6 @@ class DareProblem:
     R: np.ndarray
 
 
-@dataclass(eq=False)
-class DlyapProblem:
-    J: np.ndarray
-    W: np.ndarray
-
-
 def _sym(M):
     return (M + M.T) / 2.0
 
@@ -187,8 +181,8 @@ def solve_dare(p: DareProblem, V0=None) -> np.ndarray:
     return _check_psd(V)
 
 
-def dlyap_residual(V, p: DlyapProblem) -> float:
-    return float(np.linalg.norm(V - p.J @ V @ p.J.T - p.W, "fro"))
+def dlyap_residual(V, J, W) -> float:
+    return float(np.linalg.norm(V - J @ V @ J.T - W, "fro"))
 
 
 def _squaring(J, W, tol):
@@ -209,16 +203,15 @@ def _squaring(J, W, tol):
     return V
 
 
-def solve_dlyap(p: DlyapProblem) -> np.ndarray:
+def solve_dlyap(J, W) -> np.ndarray:
     """Solution of V = J V J' + W for spectral radius(J) < 1."""
-    J = np.asarray(p.J, dtype=np.float64)
-    W = _sym(np.asarray(p.W, dtype=np.float64))
-    prob = DlyapProblem(J, W)
+    J = np.asarray(J, dtype=np.float64)
+    W = _sym(np.asarray(W, dtype=np.float64))
     tol = 1e-10 * max(1.0, np.linalg.norm(W, "fro"))
 
     V = _squaring(J, W, tol)
 
-    res = dlyap_residual(V, prob)
+    res = dlyap_residual(V, J, W)
     threshold = max(tol, 5e-9 * max(1.0, np.linalg.norm(V, "fro")))
     if not np.isfinite(res) or res >= threshold:
         raise ConvergenceError(

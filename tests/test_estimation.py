@@ -228,22 +228,21 @@ def test_update_Q_full_matches_residual_outer_products():
 def test_project_scalar_identity_trace():
     c = CovarianceConstraint.scalar_identity(1.0, 2)
     out = project_constraint(np.diag([2.0, 2.0]), c, _Throttle())
-    assert out.q == 2.0
+    assert out.params.tolist() == [2.0]
 
 
 def test_project_diagonal_extracts_diagonal():
     c = CovarianceConstraint.diagonal(1.0, 3)
     Q = np.array([[1.0, 0.2, 0.0], [0.2, 2.0, 0.1], [0.0, 0.1, 3.0]])
     out = project_constraint(Q, c, _Throttle())
-    np.testing.assert_array_equal(out.q_vec, [1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(out.params, [1.0, 2.0, 3.0])
 
 
 def test_project_alpha_beta_hand_solution():
     L = np.array([[1.0, 0.0], [1.0, 0.0]])  # LL' = ones(2,2)
     c = CovarianceConstraint.alpha_LL_beta_I(L, 1.0, 1.0)
     out = project_constraint(np.array([[2.0, 1.0], [1.0, 2.0]]), c, _Throttle())
-    assert out.alpha == pytest.approx(1.0, abs=1e-12)
-    assert out.beta == pytest.approx(1.0, abs=1e-12)
+    assert out.params == pytest.approx([1.0, 1.0], abs=1e-12)
 
 
 def test_project_idempotent():
@@ -257,7 +256,33 @@ def test_project_idempotent():
         ),
     ):
         out = project_constraint(c.matrix(), c, _Throttle())
-        np.testing.assert_allclose(out.params(), c.params(), rtol=1e-12)
+        np.testing.assert_allclose(out.params, c.params, rtol=1e-12)
+
+
+def test_diagonal_families_build_exact_matrices():
+    """qI and diagonal give exactly q I and diag(q_vec) and their inverses:
+    EM's results depend on these values bit for bit."""
+    n, q = 6, 0.37
+    q_vec = np.random.default_rng(8).uniform(0.1, 1.0, n)
+    c = CovarianceConstraint.scalar_identity(q, n)
+    assert np.array_equal(c.matrix(), q * np.eye(n))
+    assert np.array_equal(c.inv_matrix(), (1.0 / q) * np.eye(n))
+    d = CovarianceConstraint.diagonal(q_vec, n)
+    assert np.array_equal(d.matrix(), np.diag(q_vec))
+    assert np.array_equal(d.inv_matrix(), np.diag(1.0 / q_vec))
+
+
+@pytest.mark.parametrize("c, Q_full, floored", [
+    (CovarianceConstraint.scalar_identity(1.0, 3), -np.eye(3), [1e-12]),
+    (CovarianceConstraint.diagonal(1.0, 3), np.diag([-1.0, 2.0, -3.0]), [1e-12, 2.0, 1e-12]),
+    (CovarianceConstraint.alpha_LL_beta_I(np.array([[1.0, 0.0], [1.0, 0.0]]), 1.0, 1.0),
+     np.diag([-5.0, -5.0]), [1e-12, 1e-12]),
+])
+def test_project_logs_one_floor_record_per_projection(caplog, c, Q_full, floored):
+    with caplog.at_level(logging.DEBUG, logger="thermem.estimation"):
+        out = project_constraint(Q_full, c, _Throttle())
+    assert out.params.tolist() == pytest.approx(floored, rel=1e-12)
+    assert [r.getMessage().startswith("flooring") for r in caplog.records] == [True]
 
 
 def test_project_collinear_LL_raises():
@@ -271,8 +296,7 @@ def test_project_clamps_nonpositive_fit(caplog):
     c = CovarianceConstraint.alpha_LL_beta_I(L, 1.0, 1.0)
     with caplog.at_level(logging.WARNING, logger="thermem.estimation"):
         out = project_constraint(np.diag([-5.0, -5.0]), c, _Throttle())
-    assert out.alpha == pytest.approx(1e-12)
-    assert out.beta == pytest.approx(1e-12)
+    assert out.params == pytest.approx([1e-12, 1e-12])
     assert any("flooring" in rec.message for rec in caplog.records)
 
 
@@ -440,7 +464,7 @@ def test_run_em_first_cycle_is_plain_em(constraint):
     theta, c, ll = plain_em_loop(mesh, scheme, traj, cfg, constraint, 3)
     theta_run, c_run, trace = run_em(mesh, scheme, traj, cfg, constraint=constraint)
     assert np.array_equal(theta_run.vector, theta.vector)
-    assert np.array_equal(c_run.params(), c.params())
+    assert np.array_equal(c_run.params, c.params)
     assert trace.loglik == ll and trace.step_length == [1.0] * 3
 
 
@@ -450,7 +474,7 @@ def test_run_em_diagonal_takes_plain_steps():
     theta, c, ll = plain_em_loop(mesh, scheme, traj, cfg, "diagonal", 12)
     theta_run, c_run, trace = run_em(mesh, scheme, traj, cfg, constraint="diagonal")
     assert np.array_equal(theta_run.vector, theta.vector)
-    assert np.array_equal(c_run.q_vec, c.q_vec)
+    assert np.array_equal(c_run.params, c.params)
     assert trace.loglik == ll and set(trace.step_length) == {1.0}
 
 
@@ -524,7 +548,7 @@ def test_run_em_last_rejected_row_returns_x2():
     assert trace.rejected[-1] and not trace.rejected[-2]
     # x2 is the output of the plain step before the rejected extrapolation.
     assert np.array_equal(theta.vector, full.theta[first - 2])
-    assert np.array_equal(c.params(), full.constraint_params[first - 2])
+    assert np.array_equal(c.params, full.constraint_params[first - 2])
 
 
 @pytest.mark.parametrize("error", [StabilityError, ConvergenceError, "huge q"])
@@ -559,7 +583,7 @@ def test_run_em_failed_extrapolation_falls_back(monkeypatch, error):
     assert np.array_equal(rejected, steps > 1)  # every extrapolation fell back
     for col in (trace.theta, trace.constraint_params, trace.loglik, trace.theta_rel_change):
         assert np.isfinite(np.asarray(col)).all()
-    assert np.isfinite(theta.vector).all() and np.isfinite(c.params()).all()
+    assert np.isfinite(theta.vector).all() and np.isfinite(c.params).all()
     # Fallback rows go on from x2: every non-rejected step is plain EM.
     plain, _, ll = plain_em_loop(mesh, scheme, traj, cfg, "scalar_identity", 30 - rejected.sum())
     np.testing.assert_allclose(theta.vector, plain.vector, rtol=1e-6)

@@ -1,4 +1,4 @@
-"""The CSV writer against np.savetxt at %.12g, byte for byte."""
+"""The CSV writer against np.savetxt at %.12g, byte for byte, and the JSON files."""
 
 import json
 
@@ -8,6 +8,7 @@ from _oracles import savetxt_12g
 
 from thermem import io as tio
 from thermem.cli import main
+from thermem.estimation import CovarianceConstraint
 from thermem.model import Trajectory
 
 
@@ -105,3 +106,17 @@ def test_cli_outputs_rewrite_byte_for_byte(tmp_path):
     names, data = tio.read_trace_csv(str(run / "trace.csv"))
     tio._write_csv(str(tmp_path / "trace.csv"), ",".join(names), [data])
     assert (tmp_path / "trace.csv").read_bytes() == (run / "trace.csv").read_bytes()
+
+
+@pytest.mark.parametrize("c", [
+    CovarianceConstraint.scalar_identity(0.25, 3),
+    CovarianceConstraint.diagonal(np.array([0.1, 0.2, 0.3]), 3),
+    CovarianceConstraint.alpha_LL_beta_I(np.tril(np.ones((3, 3))), 0.5, 0.125),
+], ids=lambda c: c.kind)
+def test_constraint_json_is_kind_n_then_named_params(tmp_path, c):
+    path = tmp_path / "constraint.json"
+    tio.write_constraint_json(str(path), c)
+    payload = json.loads(path.read_text())
+    assert list(payload) == ["kind", "n"] + c.param_names()
+    assert payload["kind"] == c.kind and payload["n"] == 3
+    assert [payload[name] for name in c.param_names()] == c.params.tolist()

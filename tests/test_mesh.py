@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from thermem.mesh import build_grid, prune_inactive, refine, refine_at, refine_many
+from thermem.mesh import build_grid, prune_inactive, refine, refine_many
 
 
 def test_build_grid_2x2x1_counts():
@@ -106,7 +106,7 @@ def test_refine_rejects_ambient_and_max_level():
 
 def test_refine_at_by_coordinates():
     m = build_grid(3, 2, 1)
-    r = refine_at(m, layer=1, ix=2, iy=1)
+    r = refine(m, m.base_cell(1, 2, 1).index)
     assert r.n_compartments == m.n_compartments + 3
 
 

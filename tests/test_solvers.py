@@ -10,7 +10,6 @@ import thermem.solvers as solvers
 from thermem.errors import ConvergenceError
 from thermem.solvers import (
     DareProblem,
-    DlyapProblem,
     dare_residual,
     dlyap_residual,
     solve_dare,
@@ -178,12 +177,12 @@ def test_dare_warm_start_wrong_shape_raises():
 
 def test_dlyap_zero_contraction():
     W = np.array([[2.0, 0.3], [0.3, 1.0]])
-    V = solve_dlyap(DlyapProblem(J=np.zeros((2, 2)), W=W))
+    V = solve_dlyap(np.zeros((2, 2)), W)
     np.testing.assert_allclose(V, W, atol=1e-14)
 
 
 def test_dlyap_scalar_geometric_series():
-    V = solve_dlyap(DlyapProblem(J=as2d(0.5), W=as2d(1.0)))
+    V = solve_dlyap(as2d(0.5), as2d(1.0))
     assert V[0, 0] == pytest.approx(4.0 / 3.0, abs=1e-12)
 
 
@@ -193,14 +192,13 @@ def test_dlyap_residual_random():
         J = rng.normal(size=(n, n))
         J *= 0.9 / np.max(np.abs(np.linalg.eigvals(J)))
         W = _random_spd(rng, n)
-        p = DlyapProblem(J=J, W=W)
-        V = solve_dlyap(p)
-        assert dlyap_residual(V, p) < 1e-10 * max(1.0, np.linalg.norm(W))
+        V = solve_dlyap(J, W)
+        assert dlyap_residual(V, J, W) < 1e-10 * max(1.0, np.linalg.norm(W))
 
 
 def test_dlyap_rejects_expanding_map():
     with pytest.raises(ConvergenceError):
-        solve_dlyap(DlyapProblem(J=1.5 * np.eye(70), W=np.eye(70)))
+        solve_dlyap(1.5 * np.eye(70), np.eye(70))
 
 
 def _random_spd(rng, n, scale=1.0):
