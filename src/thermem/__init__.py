@@ -22,7 +22,6 @@ from thermem.mesh import (
     CompartmentMesh,
     build_grid,
     prune_inactive,
-    refine,
     refine_many,
 )
 from thermem.graph import GraphOperators, SharingScheme, build_operators

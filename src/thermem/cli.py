@@ -1,6 +1,6 @@
 """Command-line front end: generate datasets, identify, predict, report.
 
-    thermem generate --config exp.json [--seed S] [--scheme weak] [--out DIR]
+    thermem generate --config exp.json [--seed S] [--scheme NAME] [--out DIR]
     thermem identify --config exp.json [--data DIR] [--constraint qI] [--out DIR]
     thermem predict  --config exp.json --theta theta.json [--horizon H]
     thermem report   trace.csv [trace2.csv ...] [--out report.csv]
@@ -179,7 +179,9 @@ def cmd_identify(args) -> int:
 
 def cmd_predict(args) -> int:
     exp = _experiment(args)
-    horizon = args.horizon or int(exp.cfg.get("predict", {}).get("horizon", 18000))
+    horizon = args.horizon
+    if horizon is None:
+        horizon = int(exp.cfg.get("predict", {}).get("horizon", 18000))
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     theta_path = args.theta or os.path.join(exp.out_dir, "theta.json")
@@ -287,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="experiment config JSON")
-    common.add_argument("--scheme", choices=["weak", "strong"], default=None)
+    common.add_argument("--scheme", default=None, help="weak, strong or a scheme the config defines")
     common.add_argument("--out", default=None, help="output directory override")
 
     g = sub.add_parser("generate", parents=[common], help="simulate a dataset")

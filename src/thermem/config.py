@@ -37,7 +37,8 @@ layer 1; map row 0 is y = 0), plus refinement/observation lists:
                    {"label": "cu", "layer": 2},
                    {"label": "ambient", "role": "ambient"}],
         "k_classes": {"chip|chip": 0, "chip|cu": 1, "cu|cu": 2, "ambient|cu": 3},
-        "z_classes": {"chip": 0}
+        "z_classes": {"chip": 0},
+        "k_names": ["kcc", "kcu", "kuu", "kamb"]   # optional, one per class
       }
     }
     "theta_true": {"k": [...], "z": [...]}          # needed to generate data
@@ -68,8 +69,6 @@ from thermem.estimation import (
 )
 from thermem.graph import SharingScheme
 from thermem.mesh import (
-    ROLE_AMBIENT,
-    ROLE_INACTIVE,
     CompartmentMesh,
     build_grid,
     prune_inactive,
@@ -159,7 +158,7 @@ def mesh_from_config(spec: dict) -> CompartmentMesh:
         max_refinement_level=int(spec.get("max_refinement_level", 1)),
     )
     if spec.get("prune_inactive", True):
-        mesh, _ = prune_inactive(mesh, lambda c: c.role != ROLE_INACTIVE)
+        mesh = prune_inactive(mesh)
     refine_list = spec.get("refine", [])
     if refine_list:
         idx = [mesh.base_cell(layer, ix, iy).index for layer, ix, iy in refine_list]
@@ -210,15 +209,13 @@ def scheme_from_config(spec: dict, name: str = "") -> SharingScheme:
         for key, v in spec.get("k_classes", {}).items()
     }
     z_classes = {g: int(v) for g, v in spec.get("z_classes", {}).items()}
-    n_k = max(k_classes.values()) + 1 if k_classes else 0
-    k_names = spec.get("k_names", [f"k_{i}" for i in range(n_k)])
-    return SharingScheme.from_tables(
+    return SharingScheme(
         node_group,
         k_classes,
         z_classes,
         name=name,
-        k_names=k_names,
-        z_names=spec.get("z_names", [f"z_{i}" for i in range(max(z_classes.values()) + 1 if z_classes else 0)]),
+        k_names=tuple(spec.get("k_names", ())),
+        z_names=tuple(spec.get("z_names", ())),
     )
 
 

@@ -179,30 +179,18 @@ _WEAK_KEYS = (
 )
 
 
+def _toy_scheme(name, classes, k_names) -> SharingScheme:
+    """The toy scheme putting the coupling _WEAK_KEYS[i] into class classes[i]."""
+    k_table = {tuple(sorted(key)): c for key, c in zip(_WEAK_KEYS, classes)}
+    return SharingScheme(_node_group, k_table, {ROLE_IGBT: 0}, name, k_names, ("z_igbt",))
+
+
 def weak_scheme() -> SharingScheme:
-    k_table = {tuple(sorted(key)): i for i, key in enumerate(_WEAK_KEYS)}
-    return SharingScheme.from_tables(
-        _node_group,
-        k_table,
-        {ROLE_IGBT: 0},
-        name="weak",
-        k_names=WEAK_CLASS_NAMES,
-        z_names=("z_igbt",),
-    )
+    return _toy_scheme("weak", range(len(_WEAK_KEYS)), WEAK_CLASS_NAMES)
 
 
 def strong_scheme() -> SharingScheme:
-    k_table = {
-        tuple(sorted(key)): STRONG_OF_WEAK[i] for i, key in enumerate(_WEAK_KEYS)
-    }
-    return SharingScheme.from_tables(
-        _node_group,
-        k_table,
-        {ROLE_IGBT: 0},
-        name="strong",
-        k_names=STRONG_CLASS_NAMES,
-        z_names=("z_igbt",),
-    )
+    return _toy_scheme("strong", STRONG_OF_WEAK, STRONG_CLASS_NAMES)
 
 
 def weak_theta(spec: ToySpec) -> ThetaParams:
@@ -228,7 +216,7 @@ def build_toy(spec: Optional[ToySpec] = None):
         role_map=toy_role_map(spec),
         source_roles={ROLE_IGBT},
     )
-    mesh, _ = prune_inactive(mesh, lambda c: c.role != ROLE_INACTIVE)
+    mesh = prune_inactive(mesh)
     refine_idx = [mesh.base_cell(1, ix, iy).index for ix, iy in spec.layer1_refine]
     refine_idx += [mesh.base_cell(2, ix, iy).index for ix, iy in spec.layer2_refine]
     mesh = refine_many(mesh, refine_idx)

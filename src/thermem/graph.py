@@ -1,18 +1,9 @@
 """Directed-graph operators encoding the coupling topology and parameter sharing.
 
 Every ordered adjacency entry of a mesh becomes one directed edge, so edges
-come in reversed pairs and m = 2 * (number of symmetric couplings). A
-conductance on an edge heats or cools the edge's head compartment only. The
-ambient compartment is a boundary condition, T_amb(t+1) = T_amb(t), so no
-edge heats it and its coupling row is zero.
-
-In incidence notation the coupling operator is Io_dyn diag(C_sel k) J' and
-the input map is B_sel diag(A_sel z): J (n x m) has +1 at an edge's tail and
--1 at its head, Io_dyn keeps the -1 entries with the ambient row zeroed,
-C_sel spreads conductance classes over edges with face-area scales, B_sel
-places each source channel, unscaled, into its compartment and A_sel maps
-shared gains to channels. These matrices are not built; both operators come
-straight from the edge and source arrays.
+come in reversed pairs. A conductance on an edge heats or cools the edge's
+head compartment only. The ambient compartment is a boundary condition,
+T_amb(t+1) = T_amb(t), so no edge heats it and its coupling row is zero.
 """
 
 from __future__ import annotations
@@ -27,68 +18,64 @@ from thermem.errors import ConfigurationError
 from thermem.mesh import Compartment, CompartmentMesh
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SharingScheme:
-    """Assignment of coupling/source parameter classes.
+    """Assignment of coupling/source parameter classes by group tables.
 
-    ``edge_class(ci, cj)`` must be symmetric; ``source_class(c)`` maps a
-    source compartment to its gain class. ``k_names``/``z_names`` label the
-    classes for reports.
+    ``node_group(c)`` names a compartment's group. ``k_table`` maps sorted
+    (group_a, group_b) pairs to conductance classes; because the key is
+    sorted, an edge and its reverse always get the same class. ``z_table``
+    maps a source compartment's group to its gain class. ``k_names`` and
+    ``z_names`` label the classes for reports; empty means unnamed.
     """
 
-    edge_class: Callable[[Compartment, Compartment], int]
-    source_class: Callable[[Compartment], int]
-    n_k: int
-    n_z: int
+    node_group: Callable[[Compartment], str]
+    k_table: Mapping[tuple, int]
+    z_table: Mapping[str, int]
+    name: str = ""
     k_names: tuple = ()
     z_names: tuple = ()
-    name: str = ""
 
-    @staticmethod
-    def from_tables(
-        node_group: Callable[[Compartment], str],
-        k_table: Mapping[tuple, int],
-        z_table: Mapping[str, int],
-        name: str = "",
-        k_names=(),
-        z_names=(),
-    ) -> "SharingScheme":
-        """Build a scheme from group-pair lookup tables.
-
-        ``k_table`` keys are sorted (group_a, group_b) tuples; symmetry of the
-        edge classifier is automatic.
-        """
-
-        def edge_class(ci, cj):
-            ga, gb = node_group(ci), node_group(cj)
-            key = tuple(sorted((ga, gb)))
-            try:
-                return k_table[key]
-            except KeyError:
+    def __post_init__(self):
+        for kind, table, names, count in (
+            ("k", self.k_table, self.k_names, self.n_k),
+            ("z", self.z_table, self.z_names, self.n_z),
+        ):
+            if any(v < 0 for v in table.values()):
                 raise ConfigurationError(
-                    f"sharing scheme {name!r} does not cover coupling {key[0]} <-> {key[1]}"
-                ) from None
-
-        def source_class(c):
-            g = node_group(c)
-            try:
-                return z_table[g]
-            except KeyError:
+                    f"sharing scheme {self.name!r} has a negative {kind} class index"
+                )
+            if names and len(names) != count:
                 raise ConfigurationError(
-                    f"sharing scheme {name!r} does not cover source group {g!r}"
-                ) from None
+                    f"sharing scheme {self.name!r} gives {len(names)} {kind}_names "
+                    f"for {count} {kind} classes"
+                )
 
-        n_k = max(k_table.values()) + 1 if k_table else 0
-        n_z = max(z_table.values()) + 1 if z_table else 0
-        return SharingScheme(
-            edge_class=edge_class,
-            source_class=source_class,
-            n_k=n_k,
-            n_z=n_z,
-            k_names=tuple(k_names),
-            z_names=tuple(z_names),
-            name=name,
-        )
+    @property
+    def n_k(self) -> int:
+        return max(self.k_table.values(), default=-1) + 1
+
+    @property
+    def n_z(self) -> int:
+        return max(self.z_table.values(), default=-1) + 1
+
+    def edge_class(self, ci: Compartment, cj: Compartment) -> int:
+        key = tuple(sorted((self.node_group(ci), self.node_group(cj))))
+        try:
+            return self.k_table[key]
+        except KeyError:
+            raise ConfigurationError(
+                f"sharing scheme {self.name!r} does not cover coupling {key[0]} <-> {key[1]}"
+            ) from None
+
+    def source_class(self, c: Compartment) -> int:
+        g = self.node_group(c)
+        try:
+            return self.z_table[g]
+        except KeyError:
+            raise ConfigurationError(
+                f"sharing scheme {self.name!r} does not cover source group {g!r}"
+            ) from None
 
 
 @dataclass(eq=False)
@@ -104,7 +91,6 @@ class GraphOperators:
     """
 
     n: int
-    m: int
     n_k: int
     n_z: int
     n_P: int
@@ -155,24 +141,11 @@ def build_operators(mesh: CompartmentMesh, scheme: SharingScheme) -> GraphOperat
         heads[e] = j
         weights[e] = w
         k_class[e] = scheme.edge_class(comps[i], comps[j])
-    if np.any(k_class < 0) or np.any(k_class >= scheme.n_k):
-        raise ConfigurationError("edge class index out of range")
-
-    # Reversed edges must share the class (symmetric classifier contract).
-    by_pair = {(t, h): c for t, h, c in zip(tails, heads, k_class)}
-    for (t, h), c in by_pair.items():
-        if by_pair[(h, t)] != c:
-            raise ConfigurationError(
-                f"edge classifier is asymmetric on pair ({t}, {h}): "
-                f"{c} vs {by_pair[(h, t)]}"
-            )
 
     sources = [c for c in comps if c.has_source]
     n_P = len(sources)
     src_comp = np.array([c.index for c in sources], dtype=np.int64)
     z_class = np.array([scheme.source_class(c) for c in sources], dtype=np.int64)
-    if n_P and (np.any(z_class < 0) or np.any(z_class >= scheme.n_z)):
-        raise ConfigurationError("source class index out of range")
 
     active = heads != amb
     coupling = []
@@ -190,7 +163,6 @@ def build_operators(mesh: CompartmentMesh, scheme: SharingScheme) -> GraphOperat
 
     return GraphOperators(
         n=n,
-        m=m,
         n_k=scheme.n_k,
         n_z=scheme.n_z,
         n_P=n_P,

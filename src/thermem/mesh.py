@@ -78,10 +78,6 @@ class Compartment:
     def is_ambient(self) -> bool:
         return self.role == ROLE_AMBIENT
 
-    def volume(self) -> float:
-        (x0, x1), (y0, y1), (z0, z1) = self.extent
-        return (x1 - x0) * (y1 - y0) * (z1 - z0)
-
 
 @dataclass(frozen=True)
 class CompartmentMesh:
@@ -109,13 +105,6 @@ class CompartmentMesh:
     def scale(self) -> int:
         """Fine-grid units per base cell edge."""
         return 2**self.max_refinement_level
-
-    def total_volume(self) -> float:
-        return sum(c.volume() for c in self.compartments)
-
-    def adjacency_pairs(self):
-        """Unordered coupling pairs {(i, j): weight} with i < j."""
-        return {(i, j): w for (i, j, w) in self.adjacency if i < j}
 
     def indices(self, role: Optional[str] = None, layer: Optional[int] = None):
         """Compartment indices filtered by role and/or layer, in index order."""
@@ -338,11 +327,6 @@ def _split(c: Compartment):
     ]
 
 
-def refine(mesh: CompartmentMesh, cell_index: int) -> CompartmentMesh:
-    """Replace one compartment by its four quadtree children."""
-    return refine_many(mesh, [cell_index])
-
-
 def refine_many(mesh: CompartmentMesh, cell_indices) -> CompartmentMesh:
     """Refine several compartments of the same mesh in one rebuild.
 
@@ -372,15 +356,7 @@ def refine_many(mesh: CompartmentMesh, cell_indices) -> CompartmentMesh:
     return _assemble(cells, mesh.nx, mesh.ny, mesh.nz, mesh.cell_size, mesh.max_refinement_level)
 
 
-def prune_inactive(mesh: CompartmentMesh, keep: Callable[[Compartment], bool]):
-    """Drop compartments failing the predicate; returns (mesh, old->new map)."""
-    kept = [c for c in mesh.compartments if keep(c)]
-    if not any(c.is_ambient for c in kept):
-        raise ValueError("keep predicate must retain the ambient compartment")
-    new_mesh = _assemble(
-        kept, mesh.nx, mesh.ny, mesh.nz, mesh.cell_size, mesh.max_refinement_level
-    )
-    # (layer, oy, ox) is unique per compartment and survives reindexing.
-    lookup = {(c.layer, c.oy, c.ox): c.index for c in new_mesh.compartments}
-    mapping = {c.index: lookup[(c.layer, c.oy, c.ox)] for c in kept}
-    return new_mesh, mapping
+def prune_inactive(mesh: CompartmentMesh) -> CompartmentMesh:
+    """The mesh without its inactive compartments, reindexed."""
+    kept = [c for c in mesh.compartments if c.role != ROLE_INACTIVE]
+    return _assemble(kept, mesh.nx, mesh.ny, mesh.nz, mesh.cell_size, mesh.max_refinement_level)

@@ -341,7 +341,7 @@ def test_criterion_6_appendix_oracle_equivalence():
     """Statistics-based expected terms match per-step brute force at 1e-10."""
     mesh = build_grid(2, 2, 1, role_map=lambda ix, iy, layer: "IGBT")
     mesh = mesh.with_observed(range(mesh.n_compartments))
-    scheme = SharingScheme.from_tables(
+    scheme = SharingScheme(
         node_group=lambda c: "ambient" if c.is_ambient else "chip",
         k_table={("chip", "chip"): 0, ("ambient", "chip"): 1},
         z_table={"chip": 0},
@@ -461,7 +461,7 @@ def test_criterion_8_full_observation_ols_equivalence():
     """C = I, R -> 0, Q known: one EM iteration equals direct least squares."""
     mesh = build_grid(2, 2, 2, role_map=lambda ix, iy, layer: "IGBT" if layer == 1 else "copper")
     mesh = mesh.with_observed(range(mesh.n_compartments))
-    scheme = SharingScheme.from_tables(
+    scheme = SharingScheme(
         node_group=lambda c: "ambient" if c.is_ambient else ("chip" if c.role == "IGBT" else "cu"),
         k_table={("chip", "chip"): 0, ("chip", "cu"): 1, ("cu", "cu"): 2, ("ambient", "cu"): 3},
         z_table={"chip": 0},

@@ -190,6 +190,30 @@ def test_unknown_scheme_exits_2(tmp_path):
     assert main(["generate", "--config", cfg_path]) == 2
 
 
+def test_scheme_flag_selects_a_config_scheme(tmp_path):
+    cfg_path, out_dir = write_config(tmp_path, {"scheme": "nope"})
+    assert main(["generate", "--config", cfg_path, "--scheme", "small"]) == 0
+    assert read_manifest(os.path.join(out_dir, "manifest.json"))["scheme"] == "small"
+    cfg_path, _ = write_config(tmp_path)
+    assert main(["generate", "--config", cfg_path, "--scheme", "nope"]) == 2
+
+
+def test_class_names_not_matching_class_count_exit_2(tmp_path, caplog):
+    schemes = json.loads(json.dumps(SMALL_CONFIG["schemes"]))
+    schemes["small"]["k_names"] = ["a", "b"]
+    cfg_path, _ = write_config(tmp_path, {"schemes": schemes})
+    assert main(["generate", "--config", cfg_path]) == 2
+    assert "2 k_names for 4 k classes" in caplog.text
+
+
+def test_predict_horizon_zero_exits_2(tmp_path):
+    cfg_path, out_dir = write_config(tmp_path, {"em": {"max_iter": 1, "R": 1e-10}})
+    assert main(["generate", "--config", cfg_path]) == 0
+    assert main(["identify", "--config", cfg_path]) == 0
+    assert main(["predict", "--config", cfg_path, "--horizon", "0"]) == 2
+    assert not os.path.exists(os.path.join(out_dir, "prediction.csv"))
+
+
 def test_bad_config_json_exits_2(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -124,7 +124,7 @@ def test_AAt_residual_covariance_monte_carlo():
 
     mesh = build_grid(2, 2, 1, role_map=lambda ix, iy, layer: "IGBT")
     mesh = mesh.with_observed(range(mesh.n_compartments))
-    scheme = SharingScheme.from_tables(
+    scheme = SharingScheme(
         node_group=lambda c: "ambient" if c.is_ambient else "chip",
         k_table={("chip", "chip"): 0, ("ambient", "chip"): 1},
         z_table={"chip": 0},

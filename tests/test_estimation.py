@@ -36,7 +36,7 @@ def small_setup(nx=2, ny=2, nz=1, seed=0):
     """A 4-compartment-plus-ambient instance with two k classes and sources."""
     mesh = build_grid(nx, ny, nz, role_map=lambda ix, iy, layer: "IGBT")
     mesh = mesh.with_observed(range(mesh.n_compartments))
-    scheme = SharingScheme.from_tables(
+    scheme = SharingScheme(
         node_group=lambda c: "ambient" if c.is_ambient else "chip",
         k_table={("chip", "chip"): 0, ("ambient", "chip"): 1},
         z_table={"chip": 0},
@@ -310,7 +310,7 @@ def test_build_L_no_edges_is_zero():
     from thermem.graph import GraphOperators
 
     empty = GraphOperators(
-        n=3, m=0, n_k=0, n_z=0, n_P=0, ambient_index=2,
+        n=3, n_k=0, n_z=0, n_P=0, ambient_index=2,
         tails=np.zeros(0, dtype=int), heads=np.zeros(0, dtype=int),
         weights=np.zeros(0), k_class=np.zeros(0, dtype=int),
         src_comp=np.zeros(0, dtype=int), z_class=np.zeros(0, dtype=int),
@@ -342,7 +342,7 @@ def em_toy_problem(seed=0, N=400, noise_q=None):
     mesh = build_grid(
         2, 2, 2, role_map=lambda ix, iy, layer: "IGBT" if layer == 1 else "copper"
     )
-    scheme = SharingScheme.from_tables(
+    scheme = SharingScheme(
         node_group=lambda c: "ambient" if c.is_ambient else ("chip" if c.role == "IGBT" else "cu"),
         k_table={
             ("chip", "chip"): 0,

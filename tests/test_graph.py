@@ -6,12 +6,12 @@ import pytest
 from _oracles import dense_structure
 from thermem.errors import ConfigurationError
 from thermem.graph import SharingScheme, build_operators
-from thermem.mesh import build_grid, refine
+from thermem.mesh import build_grid, refine_many
 from thermem.model import ThetaParams, assemble
 
 
 def single_class_scheme():
-    return SharingScheme.from_tables(
+    return SharingScheme(
         node_group=lambda c: "any",
         k_table={("any", "any"): 0},
         z_table={"any": 0},
@@ -27,8 +27,8 @@ def single_class_scheme():
 def test_assemble_matches_dense_structure(shape, refined):
     mesh = build_grid(*shape, role_map=lambda ix, iy, layer: "IGBT" if layer == 1 else "copper")
     if refined:
-        mesh = refine(mesh, mesh.indices(layer=1)[4])
-    scheme = SharingScheme.from_tables(
+        mesh = refine_many(mesh, [mesh.indices(layer=1)[4]])
+    scheme = SharingScheme(
         node_group=lambda c: "ambient" if c.is_ambient else "cell",
         k_table={("cell", "cell"): 0, ("ambient", "cell"): 1},
         z_table={"cell": 0},
@@ -48,13 +48,13 @@ def test_assemble_matches_dense_structure(shape, refined):
 
 
 def test_edge_count_examples():
-    assert build_operators(build_grid(1, 1, 1), single_class_scheme()).m == 2
-    assert build_operators(build_grid(2, 2, 1), single_class_scheme()).m == 16  # 8 pairs
+    assert len(build_operators(build_grid(1, 1, 1), single_class_scheme()).tails) == 2
+    assert len(build_operators(build_grid(2, 2, 1), single_class_scheme()).tails) == 16  # 8 pairs
 
 
 def test_reversed_edges_share_scale_and_class():
     m = build_grid(3, 3, 2)
-    m = refine(m, m.indices(layer=1)[4])
+    m = refine_many(m, [m.indices(layer=1)[4]])
     ops = build_operators(m, single_class_scheme())
     pairs = {(t, h): (w, c) for t, h, w, c in zip(ops.tails, ops.heads, ops.weights, ops.k_class)}
     for (t, h), (w, c) in pairs.items():
@@ -64,13 +64,50 @@ def test_reversed_edges_share_scale_and_class():
 
 def test_uncovered_pair_raises_named_configuration_error():
     m = build_grid(2, 1, 1, role_map=lambda ix, iy, layer: "IGBT" if ix == 0 else "diode")
-    scheme = SharingScheme.from_tables(
+    scheme = SharingScheme(
         node_group=lambda c: c.role,
         k_table={("IGBT", "IGBT"): 0},
         z_table={"IGBT": 0, "diode": 0},
     )
     with pytest.raises(ConfigurationError, match="IGBT <-> diode"):
         build_operators(m, scheme)
+
+
+def test_class_counts_come_from_the_tables():
+    scheme = SharingScheme(
+        node_group=lambda c: c.role,
+        k_table={("IGBT", "IGBT"): 0, ("IGBT", "diode"): 2},
+        z_table={"IGBT": 0, "diode": 1},
+        k_names=("a", "b", "c"),
+    )
+    assert (scheme.n_k, scheme.n_z) == (3, 2)
+    empty = SharingScheme(lambda c: "any", {}, {})
+    assert (empty.n_k, empty.n_z) == (0, 0)
+
+
+@pytest.mark.parametrize(
+    "k_names, z_names, message",
+    [(("a", "b"), (), "2 k_names for 3 k classes"), ((), ("z", "w"), "2 z_names for 1 z classes")],
+)
+def test_class_names_must_match_class_count(k_names, z_names, message):
+    with pytest.raises(ConfigurationError, match=message):
+        SharingScheme(
+            node_group=lambda c: "any",
+            k_table={("any", "any"): 2},
+            z_table={"any": 0},
+            k_names=k_names,
+            z_names=z_names,
+        )
+
+
+@pytest.mark.parametrize(
+    "k_table, z_table",
+    [({("any", "any"): -1}, {"any": 0}), ({("any", "any"): 0}, {"any": -1})],
+    ids=["k", "z"],
+)
+def test_negative_class_index_raises(k_table, z_table):
+    with pytest.raises(ConfigurationError, match="negative"):
+        SharingScheme(node_group=lambda c: "any", k_table=k_table, z_table=z_table)
 
 
 def test_ambient_row_of_coupling_is_zero():

@@ -3,13 +3,26 @@
 import numpy as np
 import pytest
 
-from thermem.mesh import build_grid, prune_inactive, refine, refine_many
+from thermem.mesh import build_grid, prune_inactive, refine_many
+
+
+def pairs_of(mesh):
+    """Unordered coupling pairs {(i, j): weight} with i < j."""
+    return {(i, j): w for (i, j, w) in mesh.adjacency if i < j}
+
+
+def volume_of(mesh):
+    total = 0.0
+    for c in mesh.compartments:
+        (x0, x1), (y0, y1), (z0, z1) = c.extent
+        total += (x1 - x0) * (y1 - y0) * (z1 - z0)
+    return total
 
 
 def test_build_grid_2x2x1_counts():
     m = build_grid(2, 2, 1, cell_size=(1.0, 1.0, 1.0))
     assert m.n_compartments == 5  # 4 cells + ambient
-    pairs = m.adjacency_pairs()
+    pairs = pairs_of(m)
     cell_cell = [(i, j) for (i, j) in pairs if j != m.ambient_index]
     cell_amb = [(i, j) for (i, j) in pairs if j == m.ambient_index]
     assert len(cell_cell) == 4
@@ -19,7 +32,7 @@ def test_build_grid_2x2x1_counts():
 def test_build_grid_single_cell():
     m = build_grid(1, 1, 1)
     assert m.n_compartments == 2
-    assert len(m.adjacency_pairs()) == 1
+    assert len(pairs_of(m)) == 1
 
 
 def test_build_grid_toy_dimensions():
@@ -47,7 +60,7 @@ def test_adjacency_symmetric():
 
 def test_refine_counts_and_weights():
     m = build_grid(2, 2, 1)
-    r = refine(m, 0)
+    r = refine_many(m, [0])
     assert r.n_compartments == 8  # 3 base + 4 children + ambient
 
     # Children sit at level 1 and cover the parent footprint.
@@ -55,7 +68,7 @@ def test_refine_counts_and_weights():
     assert len(children) == 4
 
     # Child <-> unrefined in-plane neighbor shares half the base face.
-    pairs = r.adjacency_pairs()
+    pairs = pairs_of(r)
     child_idx = {c.index for c in children}
     base_idx = {
         c.index for c in r.compartments if c.refinement_level == 0 and not c.is_ambient
@@ -79,8 +92,8 @@ def test_refine_counts_and_weights():
 def test_refine_cross_layer_weight():
     m = build_grid(1, 1, 2)
     top = m.indices(layer=1)[0]
-    r = refine(m, top)
-    pairs = r.adjacency_pairs()
+    r = refine_many(m, [top])
+    pairs = pairs_of(r)
     bottom = r.indices(layer=2)[0]
     children = r.indices(layer=1)
     w = [pairs[tuple(sorted((c, bottom)))] for c in children]
@@ -89,57 +102,49 @@ def test_refine_cross_layer_weight():
 
 def test_refine_preserves_volume():
     m = build_grid(3, 3, 2, cell_size=(2.0, 3.0, 0.5))
-    v0 = m.total_volume()
+    v0 = volume_of(m)
     r = refine_many(m, [0, 4, 10])
-    assert r.total_volume() == pytest.approx(v0, rel=1e-12)
+    assert volume_of(r) == pytest.approx(v0, rel=1e-12)
 
 
 def test_refine_rejects_ambient_and_max_level():
     m = build_grid(2, 2, 1)
     with pytest.raises(ValueError):
-        refine(m, m.ambient_index)
-    r = refine(m, 0)
+        refine_many(m, [m.ambient_index])
+    r = refine_many(m, [0])
     child = next(c.index for c in r.compartments if c.refinement_level == 1)
     with pytest.raises(ValueError):
-        refine(r, child)
+        refine_many(r, [child])
 
 
 def test_refine_at_by_coordinates():
     m = build_grid(3, 2, 1)
-    r = refine(m, m.base_cell(1, 2, 1).index)
+    r = refine_many(m, [m.base_cell(1, 2, 1).index])
     assert r.n_compartments == m.n_compartments + 3
 
 
 def test_prune_keep_all_is_identity():
     m = build_grid(2, 3, 2)
-    p, mapping = prune_inactive(m, lambda c: True)
-    assert p == m
-    assert mapping == {i: i for i in range(m.n_compartments)}
+    assert prune_inactive(m) == m
 
 
 def test_prune_drop_one_cell():
-    m = build_grid(2, 2, 1)
-    dropped = 0
-    p, mapping = prune_inactive(m, lambda c: c.index != dropped)
+    m = build_grid(2, 2, 1, role_map=lambda ix, iy, layer: "inactive" if ix == iy == 0 else "copper")
+    p = prune_inactive(m)
     assert p.n_compartments == 4
-    assert dropped not in mapping
+    assert all(c.role != "inactive" for c in p.compartments)
     # The dropped corner cell had 2 in-plane pairs and 1 ambient pair.
-    assert len(p.adjacency_pairs()) == len(m.adjacency_pairs()) - 3
+    assert len(pairs_of(p)) == len(pairs_of(m)) - 3
     # Indices compact with no gaps.
     assert [c.index for c in p.compartments] == list(range(4))
 
 
-def test_prune_must_keep_ambient():
-    m = build_grid(2, 2, 1)
-    with pytest.raises(ValueError):
-        prune_inactive(m, lambda c: not c.is_ambient)
-
-
 def test_prune_mapping_preserves_geometry():
-    m = build_grid(3, 3, 1, role_map=lambda ix, iy, layer: "IGBT" if ix == 1 else "copper")
-    p, mapping = prune_inactive(m, lambda c: c.role != "copper" or c.is_ambient)
-    for old, new in mapping.items():
-        a, b = m.compartments[old], p.compartments[new]
+    m = build_grid(3, 3, 1, role_map=lambda ix, iy, layer: "copper" if ix == 1 else "inactive")
+    p = prune_inactive(m)
+    kept = [c for c in m.compartments if c.role != "inactive"]
+    assert len(kept) == p.n_compartments == 4  # three copper cells and the ambient
+    for a, b in zip(kept, p.compartments):
         assert (a.layer, a.ox, a.oy, a.role) == (b.layer, b.ox, b.oy, b.role)
 
 
@@ -154,7 +159,7 @@ def test_determinism():
 
 def test_child_ordering_sw_se_nw_ne():
     m = build_grid(1, 1, 1)
-    r = refine(m, 0)
+    r = refine_many(m, [0])
     kids = [c for c in r.compartments if c.refinement_level == 1]
     coords = [(c.oy, c.ox) for c in kids]
     assert coords == sorted(coords)  # row-major by (y, x): SW, SE, NW, NE
@@ -171,7 +176,7 @@ REFINEMENT_CASES = [(*dims, int(_RNG.integers(0, 2**16))) for dims in _CORNERS +
 def test_random_refinement_invariants(nx, ny, nz, seed):
     rng = np.random.default_rng(seed)
     m = build_grid(nx, ny, nz)
-    v0 = m.total_volume()
+    v0 = volume_of(m)
     for _ in range(rng.integers(0, 3)):
         eligible = [
             c.index
@@ -180,11 +185,11 @@ def test_random_refinement_invariants(nx, ny, nz, seed):
         ]
         if not eligible:
             break
-        m = refine(m, int(rng.choice(eligible)))
+        m = refine_many(m, [int(rng.choice(eligible))])
 
     entries = {(i, j): w for (i, j, w) in m.adjacency}
     for (i, j), w in entries.items():
         assert entries[(j, i)] == w
-    assert m.total_volume() == pytest.approx(v0, rel=1e-12)
+    assert volume_of(m) == pytest.approx(v0, rel=1e-12)
     assert [c.index for c in m.compartments] == list(range(m.n_compartments))
     assert m.compartments[m.ambient_index].is_ambient

@@ -23,7 +23,7 @@ def pair_mesh_ops():
     """Two coupled cells plus ambient; separate classes for cell-cell and
     cell-ambient couplings so the ambient link can be switched off."""
     m = build_grid(2, 1, 1, role_map=lambda ix, iy, layer: "copper")
-    scheme = SharingScheme.from_tables(
+    scheme = SharingScheme(
         node_group=lambda c: "ambient" if c.is_ambient else "cell",
         k_table={("cell", "cell"): 0, ("ambient", "cell"): 1},
         z_table={"cell": 0},
@@ -44,7 +44,7 @@ def rand_mesh_scheme(nx=2, ny=2, nz=2, n_roles=2):
     })
     k_table = {p: i for i, p in enumerate(pairs)}
     z_table = {g: i for i, g in enumerate(g for g in groups if g != "ambient")}
-    scheme = SharingScheme.from_tables(
+    scheme = SharingScheme(
         node_group=lambda c: "ambient" if c.is_ambient else f"{c.role}{c.layer}",
         k_table=k_table,
         z_table=z_table,
