@@ -241,18 +241,11 @@ def build_toy(spec: Optional[ToySpec] = None):
 
 
 def source_clusters(spec: ToySpec, mesh: CompartmentMesh) -> np.ndarray:
-    """Cluster id per source compartment (by chip-region x ranges)."""
-    dx = spec.cell_size[0]
-    centers_x = [
-        (x0 + x1 + 1) / 2 * dx for (x0, x1, _, _) in spec.igbt_clusters
-    ]
-    out = []
-    for c in mesh.compartments:
-        if not c.has_source:
-            continue
-        cx = (c.extent[0][0] + c.extent[0][1]) / 2
-        out.append(int(np.argmin([abs(cx - m) for m in centers_x])))
-    return np.array(out, dtype=np.int64)
+    """Cluster id per source compartment: the chip region whose x-center is
+    nearest its own, both as doubled integer coordinates on the fine grid."""
+    centers = np.array([(x0 + x1 + 1) * mesh.scale for (x0, x1, _, _) in spec.igbt_clusters])
+    mids = np.array([2 * c.ox + c.span for c in mesh.compartments if c.has_source])
+    return np.argmin(np.abs(mids[:, None] - centers), axis=1).astype(np.int64)
 
 
 def _square_waves(N: int, periods, phases, amp: float, duty: float) -> np.ndarray:

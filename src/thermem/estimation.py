@@ -377,6 +377,8 @@ def em_setup(mesh: CompartmentMesh, scheme: SharingScheme, data, cfg: EmConfig, 
     theta = _init_theta(cfg, ops)
     if theta.k.shape[0] != ops.n_k or theta.z.shape[0] != ops.n_z:
         raise ConfigurationError("theta_init dimensions do not match the scheme")
+    if theta.dtau != cfg.dtau:
+        raise ConfigurationError(f"theta_init dtau {theta.dtau:g} differs from the EM dtau {cfg.dtau:g}")
     return EmProblem(ops, observed, Y, P, T_1, cfg), theta, _init_constraint(
         constraint, cfg.q_init, ops.n, ops)
 
@@ -423,8 +425,8 @@ def run_em(
     prob, theta, c = em_setup(mesh, scheme, data, cfg, constraint)
     ops = prob.ops
     trace = EmTrace(
-        theta_names=tuple(ops.k_names or [f"k_{i}" for i in range(ops.n_k)])
-        + tuple(ops.z_names or [f"z_{i}" for i in range(ops.n_z)]),
+        theta_names=tuple(scheme.k_names or [f"k_{i}" for i in range(ops.n_k)])
+        + tuple(scheme.z_names or [f"z_{i}" for i in range(ops.n_z)]),
         constraint_names=tuple(c.param_names()),
     )
     warn = _Throttle()  # the run's clamp, floor and log-likelihood messages

@@ -82,8 +82,10 @@ class SharingScheme:
 class GraphOperators:
     """Edge and source arrays of a mesh under a sharing scheme.
 
-    Edge arrays (tails, heads, weights, k_class) define the coupling
-    operators; sources are ordered by compartment index, and channel p feeds
+    Edge e is the ordered adjacency entry (tails[e], heads[e], weights[e]) of
+    the mesh, whose one overlap rule makes the weight the shared face over the
+    base-cell face, and k_class[e] is the scheme's class of that coupling.
+    Sources are ordered by compartment index, and channel p feeds
     compartment src_comp[p] with gain z[z_class[p]] (sources carry no scale).
     ``coupling_by_class[a]`` is the n x n matrix S_a whose row h holds
     w_e (e_h - e_t)' summed over the class-a edges t -> h with a non-ambient
@@ -102,8 +104,6 @@ class GraphOperators:
     src_comp: np.ndarray
     z_class: np.ndarray
     coupling_by_class: tuple = field(repr=False, default=())
-    k_names: tuple = ()
-    z_names: tuple = ()
 
     @property
     def n_theta(self) -> int:
@@ -128,19 +128,14 @@ def build_operators(mesh: CompartmentMesh, scheme: SharingScheme) -> GraphOperat
     """Edge and source arrays and per-class coupling matrices for a mesh and scheme."""
     comps = mesh.compartments
     n = mesh.n_compartments
-    m = len(mesh.adjacency)  # two directed edges per symmetric coupling pair
     amb = mesh.ambient_index
 
-    tails = np.empty(m, dtype=np.int64)
-    heads = np.empty(m, dtype=np.int64)
-    weights = np.empty(m, dtype=np.float64)
-    k_class = np.empty(m, dtype=np.int64)
     # mesh.adjacency is sorted by (tail, head), which fixes edge order.
-    for e, (i, j, w) in enumerate(mesh.adjacency):
-        tails[e] = i
-        heads[e] = j
-        weights[e] = w
-        k_class[e] = scheme.edge_class(comps[i], comps[j])
+    tails, heads, weights = np.array(mesh.adjacency, dtype=np.float64).reshape(-1, 3).T.copy()
+    tails, heads = tails.astype(np.int64), heads.astype(np.int64)
+    k_class = np.array(
+        [scheme.edge_class(comps[i], comps[j]) for i, j, _ in mesh.adjacency], dtype=np.int64
+    )
 
     sources = [c for c in comps if c.has_source]
     n_P = len(sources)
@@ -174,6 +169,4 @@ def build_operators(mesh: CompartmentMesh, scheme: SharingScheme) -> GraphOperat
         src_comp=src_comp,
         z_class=z_class,
         coupling_by_class=tuple(coupling),
-        k_names=scheme.k_names,
-        z_names=scheme.z_names,
     )

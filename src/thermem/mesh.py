@@ -59,8 +59,8 @@ class Compartment:
 
     ``layer`` is 1-based from the top; the ambient compartment uses nz + 1.
     ``ox, oy, span`` locate the X-Y footprint on the fine integer grid
-    (base cells have span = 2**max_refinement_level); ``extent`` is the
-    axis-aligned box in meters.
+    (base cells have span = 2**max_refinement_level), whose edge is the
+    mesh's ``cell_size`` in meters.
     """
 
     index: int
@@ -72,7 +72,6 @@ class Compartment:
     role: str
     observed: bool = False
     has_source: bool = False
-    extent: tuple = ((0.0, 0.0), (0.0, 0.0), (0.0, 0.0))
 
     @property
     def is_ambient(self) -> bool:
@@ -137,85 +136,51 @@ class CompartmentMesh:
         return dataclasses.replace(self, compartments=comps)
 
 
-def _extent(cell_size, scale, layer, ox, oy, span):
-    dx, dy, dz = cell_size
-    x0 = ox * dx / scale
-    y0 = oy * dy / scale
-    side_x = span * dx / scale
-    side_y = span * dy / scale
-    z0 = (layer - 1) * dz
-    return ((x0, x0 + side_x), (y0, y0 + side_y), (z0, z0 + dz))
+def _overlap(lo_a, span_a, lo_b, span_b):
+    """Pairwise overlap, floored at 0, of intervals [lo_a, lo_a + span_a) and
+    [lo_b, lo_b + span_b) on the fine integer grid."""
+    hi = np.minimum((lo_a + span_a)[:, None], lo_b + span_b)
+    return np.maximum(hi - np.maximum(lo_a[:, None], lo_b), 0)
 
 
-def _build_adjacency(cells, nz, scale):
+def _build_adjacency(cells, scale):
     """Face adjacency with shared-area weights from integer footprints.
 
-    Weights are exact dyadic ratios: in-plane edges use shared-edge length
-    over the base-cell edge, cross-layer and ambient couplings use shared
-    footprint area over the base-cell footprint.
+    One rule weighs every coupling: two compartments share a face when they
+    touch along one axis and their footprints overlap along the others, and
+    the weight is the shared face over the base-cell face. An x-face (y-face)
+    of one layer weighs the y (x) overlap over the base-cell edge; a face to
+    the layer below weighs the overlap area over the base-cell footprint. The
+    ambient compartment is the layer below layer nz, with a footprint that
+    covers the grid, so each bottom-layer cell couples to it by its own
+    footprint. Weights are exact dyadic ratios.
     """
-    by_layer = {}
+    cover = max(max(c.ox, c.oy) + c.span for c in cells)
+    rows = {}
     for c in cells:
-        by_layer.setdefault(c.layer, []).append(c)
+        rows.setdefault(c.layer, []).append((c.index, c.ox, c.oy, cover if c.is_ambient else c.span))
+    layers = {layer: np.array(r).T.copy() for layer, r in rows.items()}  # index, ox, oy, span
 
     pairs = {}
+    for layer, (idx, ox, oy, sp) in layers.items():
+        # p's right (top) edge meets q's left (bottom) edge: an x-face (y-face).
+        faces = [
+            (idx, ((ox + sp)[:, None] == ox) * _overlap(oy, sp, oy, sp), scale),
+            (idx, ((oy + sp)[:, None] == oy) * _overlap(ox, sp, ox, sp), scale),
+        ]
+        if layer + 1 in layers:
+            jdx, bx, by, bs = layers[layer + 1]
+            faces.append((jdx, _overlap(ox, sp, bx, bs) * _overlap(oy, sp, by, bs), scale**2))
+        for other, shared, base in faces:
+            p, q = np.nonzero(shared)
+            for i, j, w in zip(idx[p].tolist(), other[q].tolist(), (shared[p, q] / base).tolist()):
+                pairs[i, j] = pairs[j, i] = w
 
-    def add(i, j, w):
-        pairs[(i, j)] = w
-        pairs[(j, i)] = w
-
-    for layer, group in by_layer.items():
-        if layer > nz:
-            continue
-        idx = np.array([c.index for c in group])
-        ox = np.array([c.ox for c in group])
-        oy = np.array([c.oy for c in group])
-        sp = np.array([c.span for c in group])
-
-        # In-plane x-faces: right edge of a meets left edge of b, y-overlap > 0.
-        touch_x = ox[:, None] + sp[:, None] == ox[None, :]
-        ylap = np.minimum(oy[:, None] + sp[:, None], oy[None, :] + sp[None, :]) - np.maximum(
-            oy[:, None], oy[None, :]
-        )
-        for a, b in zip(*np.nonzero(touch_x & (ylap > 0))):
-            add(int(idx[a]), int(idx[b]), ylap[a, b] / scale)
-
-        # In-plane y-faces.
-        touch_y = oy[:, None] + sp[:, None] == oy[None, :]
-        xlap = np.minimum(ox[:, None] + sp[:, None], ox[None, :] + sp[None, :]) - np.maximum(
-            ox[:, None], ox[None, :]
-        )
-        for a, b in zip(*np.nonzero(touch_y & (xlap > 0))):
-            add(int(idx[a]), int(idx[b]), xlap[a, b] / scale)
-
-        # Cross-layer couplings to the layer below.
-        below = by_layer.get(layer + 1)
-        if below and layer + 1 <= nz:
-            jdx = np.array([c.index for c in below])
-            bx = np.array([c.ox for c in below])
-            by = np.array([c.oy for c in below])
-            bs = np.array([c.span for c in below])
-            xlap = np.minimum(ox[:, None] + sp[:, None], bx[None, :] + bs[None, :]) - np.maximum(
-                ox[:, None], bx[None, :]
-            )
-            ylap = np.minimum(oy[:, None] + sp[:, None], by[None, :] + bs[None, :]) - np.maximum(
-                oy[:, None], by[None, :]
-            )
-            area = np.where((xlap > 0) & (ylap > 0), xlap * ylap, 0)
-            for a, b in zip(*np.nonzero(area > 0)):
-                add(int(idx[a]), int(jdx[b]), area[a, b] / scale**2)
-
-    # Bottom layer couples to ambient with footprint-area weights.
-    ambient = next(c for c in cells if c.is_ambient)
-    for c in by_layer.get(nz, []):
-        add(c.index, ambient.index, c.span**2 / scale**2)
-
-    return tuple(sorted((i, j, float(w)) for (i, j), w in pairs.items()))
+    return tuple(sorted((i, j, w) for (i, j), w in pairs.items()))
 
 
 def _assemble(cells, nx, ny, nz, cell_size, max_level):
     """Canonical ordering, index assignment, adjacency, and invariant checks."""
-    scale = 2**max_level
     ambient = [c for c in cells if c.is_ambient]
     if len(ambient) != 1:
         raise ValueError(f"mesh must contain exactly one ambient compartment, got {len(ambient)}")
@@ -223,19 +188,8 @@ def _assemble(cells, nx, ny, nz, cell_size, max_level):
         (c for c in cells if not c.is_ambient), key=lambda c: (c.layer, c.oy, c.ox)
     )
     ordered = body + ambient
-    indexed = tuple(
-        dataclasses.replace(
-            c,
-            index=i,
-            extent=(
-                c.extent
-                if c.is_ambient
-                else _extent(cell_size, scale, c.layer, c.ox, c.oy, c.span)
-            ),
-        )
-        for i, c in enumerate(ordered)
-    )
-    adjacency = _build_adjacency(indexed, nz, scale)
+    indexed = tuple(dataclasses.replace(c, index=i) for i, c in enumerate(ordered))
+    adjacency = _build_adjacency(indexed, 2**max_level)
 
     coupled = {i for (i, _, _) in adjacency}
     orphans = [c.index for c in indexed if not c.is_ambient and c.index not in coupled]

@@ -19,6 +19,41 @@ from thermem.smoother import SmootherStats, _check_inputs
 from thermem.solvers import DareProblem, solve_dare
 
 
+def adjacency_pairs(mesh):
+    """Ordered coupling entries (i, j, weight) of a mesh by a loop over all
+    compartment pairs, from each compartment's ox, oy, span and layer.
+
+    Same-layer cells whose footprints touch along x (y) share a face weighted
+    by their y (x) overlap over the base-cell edge; cells of adjacent layers
+    share their footprint overlap area over the base-cell footprint; every
+    bottom-layer cell couples to the ambient by its own footprint.
+    """
+    s = mesh.scale
+
+    def overlap(lo_a, lo_b, span_a, span_b):
+        return max(0, min(lo_a + span_a, lo_b + span_b) - max(lo_a, lo_b))
+
+    cells = [c for c in mesh.compartments if not c.is_ambient]
+    out = []
+    for a in cells:
+        for b in cells:
+            x = overlap(a.ox, b.ox, a.span, b.span)
+            y = overlap(a.oy, b.oy, a.span, b.span)
+            w = 0.0
+            if a.layer == b.layer and (a.ox + a.span == b.ox or b.ox + b.span == a.ox):
+                w = y / s
+            elif a.layer == b.layer and (a.oy + a.span == b.oy or b.oy + b.span == a.oy):
+                w = x / s
+            elif abs(a.layer - b.layer) == 1:
+                w = x * y / s**2
+            if w > 0:
+                out.append((a.index, b.index, w))
+        if a.layer == mesh.nz:
+            w = a.span**2 / s**2
+            out += [(a.index, mesh.ambient_index, w), (mesh.ambient_index, a.index, w)]
+    return sorted(out)
+
+
 def dense_structure(mesh, scheme):
     """Per-class coupling matrices and the source map from first principles.
 

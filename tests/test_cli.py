@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 
 from thermem.cli import main
-from thermem.config import Experiment
+from thermem.config import Experiment, mesh_from_config
 from thermem.estimation import EmConfig
 from thermem.io import (
     read_manifest,
@@ -183,6 +183,26 @@ def test_identify_max_iter_one(tmp_path):
     summary = read_manifest(os.path.join(out_dir, "summary.json"))
     assert summary["iterations"] == 1
     assert summary["stop_reason"] == "max_iter"
+
+
+def test_config_refine_list_and_observe_entries():
+    spec = json.loads(json.dumps(SMALL_CONFIG["mesh"]))
+    spec["refine"] = [[2, 1, 1]]
+    spec["observe"] = [{"role": "IGBT", "first": 2}, {"layer": 2}, "ambient"]
+    mesh = mesh_from_config(spec)
+    # 4 chip cells, 3 copper cells, the 4 children of copper cell (1, 1), ambient.
+    assert mesh.n_compartments == 12
+    children = [c for c in mesh.compartments if c.refinement_level == 1]
+    assert [(c.layer, c.ox, c.oy) for c in children] == [(2, 2, 2), (2, 3, 2), (2, 2, 3), (2, 3, 3)]
+    assert [c.index for c in mesh.compartments if c.observed] == [0, 1, *range(4, 12)]
+
+
+def test_identify_constraint_flag_overrides_config(tmp_path):
+    cfg_path, out_dir = write_config(tmp_path, {"em": {"max_iter": 2, "R": 1e-10}})
+    assert main(["generate", "--config", cfg_path]) == 0
+    assert main(["identify", "--config", cfg_path, "--constraint", "aLLbI"]) == 0
+    with open(os.path.join(out_dir, "constraint.json")) as fh:
+        assert json.load(fh)["kind"] == "alpha_LL_beta_I"
 
 
 def test_unknown_scheme_exits_2(tmp_path):

@@ -116,6 +116,13 @@ def test_process_covariance_zeroes_ambient():
     assert eigs.min() > -1e-18
 
 
+def test_q_iso_covariance_is_sigma2_identity_without_ambient():
+    A = np.random.default_rng(0).normal(size=(4, 4))
+    expected = 2e-4 * np.eye(4)
+    expected[2, 2] = 0.0
+    np.testing.assert_array_equal(process_covariance(NoiseSpec.q_iso(2e-4), A, 2), expected)
+
+
 def test_AAt_residual_covariance_monte_carlo():
     # Small fully observed instance; one-step residuals of the generated data
     # must reproduce sigma^2 A A' (ambient excluded).

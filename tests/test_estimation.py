@@ -403,6 +403,15 @@ def test_run_em_unknown_constraint():
         run_em(mesh, scheme, traj, EmConfig(max_iter=1), constraint="banana")
 
 
+def test_run_em_rejects_theta_init_with_another_dtau():
+    # Every E-step after the first runs at the config's dtau, so a start at
+    # another dtau would mix two models in one run.
+    mesh, scheme, ops, theta_true, traj = em_toy_problem()
+    start = ThetaParams(k=theta_true.k, z=theta_true.z, dtau=0.5)
+    with pytest.raises(ConfigurationError, match="dtau 0.5 differs from the EM dtau 1"):
+        run_em(mesh, scheme, traj, EmConfig(max_iter=2, theta_init=start))
+
+
 def plain_em_loop(mesh, scheme, traj, cfg, constraint, steps, warm=True):
     """``steps`` em_step calls, warm-started from the last DARE solution or
     cold, their messages throttled as in one run; returns (theta, constraint,

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from _oracles import adjacency_pairs
 
+from thermem.datagen import ToySpec, build_toy
 from thermem.mesh import build_grid, prune_inactive, refine_many
 
 
@@ -12,11 +14,8 @@ def pairs_of(mesh):
 
 
 def volume_of(mesh):
-    total = 0.0
-    for c in mesh.compartments:
-        (x0, x1), (y0, y1), (z0, z1) = c.extent
-        total += (x1 - x0) * (y1 - y0) * (z1 - z0)
-    return total
+    dx, dy, dz = mesh.cell_size
+    return sum(c.span**2 for c in mesh.compartments) * dx * dy * dz / mesh.scale**2
 
 
 def test_build_grid_2x2x1_counts():
@@ -193,3 +192,33 @@ def test_random_refinement_invariants(nx, ny, nz, seed):
     assert volume_of(m) == pytest.approx(v0, rel=1e-12)
     assert [c.index for c in m.compartments] == list(range(m.n_compartments))
     assert m.compartments[m.ambient_index].is_ambient
+
+
+def test_adjacency_matches_pair_loop_on_toy_reduced():
+    mesh, _, _ = build_toy(ToySpec.reduced())
+    assert list(mesh.adjacency) == adjacency_pairs(mesh)
+
+
+def random_refined_grid(seed):
+    """A grid of 1-4 x 1-4 x 1-3 cells with some top-layer cells pruned (when
+    a layer lies below them) and random cells refined up to level 1 or 2."""
+    rng = np.random.default_rng(seed)
+    nx, ny, nz = (int(v) for v in rng.integers(1, [5, 5, 4]))
+    level = int(rng.integers(1, 3))
+    gone = rng.random((nx, ny)) < 0.3
+    m = build_grid(
+        nx, ny, nz, max_refinement_level=level,
+        role_map=lambda ix, iy, layer: "inactive" if layer == 1 and nz > 1 and gone[ix, iy] else "copper",
+    )
+    m = prune_inactive(m)
+    for _ in range(level):
+        eligible = [c.index for c in m.compartments if not c.is_ambient and c.refinement_level < level]
+        picked = rng.choice(eligible, size=int(rng.integers(0, len(eligible) + 1)), replace=False)
+        m = refine_many(m, [int(i) for i in picked])
+    return m
+
+
+def test_adjacency_matches_pair_loop_on_random_refined_grids():
+    for seed in range(60):
+        m = random_refined_grid(seed)
+        assert list(m.adjacency) == adjacency_pairs(m), f"seed {seed}"
