@@ -68,12 +68,7 @@ from thermem.estimation import (
     EmConfig,
 )
 from thermem.graph import SharingScheme
-from thermem.mesh import (
-    CompartmentMesh,
-    build_grid,
-    prune_inactive,
-    refine_many,
-)
+from thermem.mesh import CompartmentMesh, build_grid
 from thermem.model import ThetaParams
 
 ROLE_CHARS = {
@@ -156,13 +151,9 @@ def mesh_from_config(spec: dict) -> CompartmentMesh:
         role_map=role_map,
         source_roles=set(spec.get("source_roles", ("IGBT", "diode", "rectifier"))),
         max_refinement_level=int(spec.get("max_refinement_level", 1)),
+        prune=spec.get("prune_inactive", True),
+        refine=spec.get("refine", []),
     )
-    if spec.get("prune_inactive", True):
-        mesh = prune_inactive(mesh)
-    refine_list = spec.get("refine", [])
-    if refine_list:
-        idx = [mesh.base_cell(layer, ix, iy).index for layer, ix, iy in refine_list]
-        mesh = refine_many(mesh, idx)
     observed = _resolve_observed(mesh, spec.get("observe", []))
     if observed:
         mesh = mesh.with_observed(observed)

@@ -39,8 +39,6 @@ from thermem.mesh import (
     ROLE_SUBSTRATE,
     CompartmentMesh,
     build_grid,
-    prune_inactive,
-    refine_many,
 )
 from thermem.model import ThetaParams, Trajectory, assemble, simulate
 
@@ -215,11 +213,9 @@ def build_toy(spec: Optional[ToySpec] = None):
         cell_size=spec.cell_size,
         role_map=toy_role_map(spec),
         source_roles={ROLE_IGBT},
+        prune=True,
+        refine=[(1, *xy) for xy in spec.layer1_refine] + [(2, *xy) for xy in spec.layer2_refine],
     )
-    mesh = prune_inactive(mesh)
-    refine_idx = [mesh.base_cell(1, ix, iy).index for ix, iy in spec.layer1_refine]
-    refine_idx += [mesh.base_cell(2, ix, iy).index for ix, iy in spec.layer2_refine]
-    mesh = refine_many(mesh, refine_idx)
 
     counts = tuple(len(mesh.indices(layer=lyr)) for lyr in range(1, spec.nz + 1))
     if counts != tuple(spec.expected_layer_counts):

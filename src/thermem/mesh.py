@@ -189,12 +189,16 @@ def _assemble(cells, nx, ny, nz, cell_size, max_level):
     )
     ordered = body + ambient
     indexed = tuple(dataclasses.replace(c, index=i) for i, c in enumerate(ordered))
-    adjacency = _build_adjacency(indexed, 2**max_level)
+    scale = 2**max_level
+    adjacency = _build_adjacency(indexed, scale)
 
-    coupled = {i for (i, _, _) in adjacency}
-    orphans = [c.index for c in indexed if not c.is_ambient and c.index not in coupled]
+    # A base cell must couple to something outside itself; its quadtree
+    # children coupling only to each other do not count.
+    base = [(c.layer, c.ox // scale, c.oy // scale) for c in indexed]
+    coupled = {base[i] for (i, j, _) in adjacency if base[i] != base[j]}
+    orphans = [c.index for c in indexed if not c.is_ambient and base[c.index] not in coupled]
     if orphans:
-        raise ValueError(f"compartments with no thermal coupling: {orphans}")
+        raise ValueError(f"compartments with no thermal coupling outside their base cell: {orphans}")
 
     return CompartmentMesh(
         nx=nx,
@@ -216,12 +220,16 @@ def build_grid(
     role_map: Optional[Callable[[int, int, int], str]] = None,
     source_roles=SOURCE_ROLES,
     max_refinement_level: int = 1,
+    prune: bool = False,
+    refine=(),
 ) -> CompartmentMesh:
     """Uniform Cartesian grid of nx*ny*nz cells plus one ambient compartment.
 
     ``role_map(ix, iy, layer)`` assigns a role per base cell (default: all
     copper). Compartments whose role is in ``source_roles`` are tagged as
-    heat sources.
+    heat sources. With ``prune`` the inactive cells are left out, and each
+    base cell listed in ``refine`` as (layer, ix, iy) is split once: the mesh
+    of prune_inactive and refine_many on the grid, assembled only once.
     """
     if nx < 1 or ny < 1 or nz < 1:
         raise ValueError(f"grid dimensions must be positive, got ({nx}, {ny}, {nz})")
@@ -231,7 +239,7 @@ def build_grid(
         raise ValueError("max_refinement_level must be >= 0")
 
     scale = 2**max_refinement_level
-    cells = []
+    cells, at = [], {}
     for iz in range(nz):
         layer = iz + 1
         for iy in range(ny):
@@ -239,6 +247,11 @@ def build_grid(
                 role = role_map(ix, iy, layer) if role_map else ROLE_COPPER
                 if role not in VALID_ROLES or role == ROLE_AMBIENT:
                     raise ValueError(f"invalid role {role!r} at ({ix}, {iy}, layer {layer})")
+                if prune and role == ROLE_INACTIVE:
+                    continue
+                # The grid loop runs in canonical order, so a cell's position
+                # here is its index in the unrefined mesh.
+                at[layer, ix, iy] = len(cells)
                 cells.append(
                     Compartment(
                         index=-1,
@@ -262,6 +275,12 @@ def build_grid(
             role=ROLE_AMBIENT,
         )
     )
+    chosen = []
+    for layer, ix, iy in refine:
+        if (layer, ix, iy) not in at:
+            raise ValueError(f"no level-0 compartment at layer={layer}, ix={ix}, iy={iy}")
+        chosen.append(at[layer, ix, iy])
+    cells = _split_chosen(cells, chosen, max_refinement_level)
     return _assemble(cells, nx, ny, nz, cell_size, max_refinement_level)
 
 
@@ -281,32 +300,30 @@ def _split(c: Compartment):
     ]
 
 
+def _split_chosen(cells, chosen, max_level):
+    """``cells`` with the cells at positions ``chosen`` split; duplicates and
+    cells at the maximum refinement level are rejected."""
+    if len(set(chosen)) != len(chosen):
+        raise ValueError("duplicate refinement indices")
+    for ci in chosen:
+        if cells[ci].refinement_level >= max_level:
+            raise ValueError(f"compartment {ci} already at maximum refinement level {max_level}")
+    chosen = set(chosen)
+    return [part for ci, c in enumerate(cells) for part in (_split(c) if ci in chosen else [c])]
+
+
 def refine_many(mesh: CompartmentMesh, cell_indices) -> CompartmentMesh:
     """Refine several compartments of the same mesh in one rebuild.
 
     Indices refer to ``mesh``; duplicates are rejected.
     """
     wanted = list(cell_indices)
-    if len(set(wanted)) != len(wanted):
-        raise ValueError("duplicate refinement indices")
     for ci in wanted:
         if not 0 <= ci < mesh.n_compartments:
             raise ValueError(f"compartment index {ci} out of range")
-        c = mesh.compartments[ci]
-        if c.is_ambient:
+        if mesh.compartments[ci].is_ambient:
             raise ValueError("cannot refine the ambient compartment")
-        if c.refinement_level >= mesh.max_refinement_level:
-            raise ValueError(
-                f"compartment {ci} already at maximum refinement level "
-                f"{mesh.max_refinement_level}"
-            )
-    chosen = set(wanted)
-    cells = []
-    for c in mesh.compartments:
-        if c.index in chosen:
-            cells.extend(_split(c))
-        else:
-            cells.append(c)
+    cells = _split_chosen(list(mesh.compartments), wanted, mesh.max_refinement_level)
     return _assemble(cells, mesh.nx, mesh.ny, mesh.nz, mesh.cell_size, mesh.max_refinement_level)
 
 

@@ -13,6 +13,24 @@ are solved by the squaring iteration
     V <- V + J^(2^k) V (J^(2^k))'.
 Every accepted solution is certified by its fixed-point residual; iterates
 are symmetrized each step to suppress drift.
+
+Precision: each Newton-Hewer correction X is computed in float32 (F and the
+defect are cast down) and added to the float64 V. The defect, the residual
+certificate and the PSD check stay float64, so a correction only needs
+inexact-Newton accuracy: the next float64 defect accepts or rejects it. On
+the toy reduced-em, full-em and cli-pipeline workloads the warm solves took
+as many steps as in float64 and never fell back to doubling. That is
+measured, not guaranteed: the float32 error of a correction grows with the
+Stein operator's conditioning, about 1/(1 - rho(F)^2), so a mesh with
+slowly decaying closed-loop modes can need more steps, and one that hits
+the step cap or stops making progress falls back to the cold doubling,
+which is slower but still certified. At n=817 (2 OpenBLAS
+threads) a float32 GEMM takes about half the time of a float64 one, which
+halves each correction. The cold doubling stays float64 because its n x 2n
+solve is slower in float32 (about 100 against 80 ms), and solve_dlyap
+because nothing refines its result: reaching the 5e-9 certificate from
+float32 takes two float32 solves and a float64 residual, no cheaper than
+one float64 solve.
 """
 
 from __future__ import annotations
@@ -51,9 +69,10 @@ _MAX_ITER = 200  # doubling and squaring loops; the fixed-point sweep gets 10x
 def _riccati_defect(V, p: DareProblem):
     """DARE residual Ric(V) - V and the predictor gain K = A V C' (C V C' + R)^{-1}."""
     A, C, Q, R = p.A, p.C, p.Q, p.R
-    AVC = A @ V @ C.T
+    AV = A @ V
+    AVC = AV @ C.T
     K = np.linalg.solve((C @ V @ C.T + R).T, AVC.T).T
-    return A @ V @ A.T - K @ AVC.T + Q - V, K
+    return AV @ A.T - K @ AVC.T + Q - V, K
 
 
 def dare_residual(V, p: DareProblem) -> float:
@@ -98,7 +117,10 @@ def _newton_hewer(p: DareProblem, V, threshold):
                 if step == _NEWTON_STEPS or not res < res_prev:
                     break
                 res_prev = res
-                V = V + _squaring(p.A - K @ p.C, _sym_inplace(D), threshold(V))
+                # A float32 correction suffices: the float64 defect above
+                # certifies (or rejects) every step it produces.
+                F = (p.A - K @ p.C).astype(np.float32)
+                V = V + _squaring(F, _sym_inplace(D).astype(np.float32), threshold(V))
     except (np.linalg.LinAlgError, ConvergenceError, NumericalError):
         pass  # the caller falls back to doubling
     return None

@@ -192,6 +192,27 @@ def smooth_loop(A, B, J, Xf, P):
     return xs
 
 
+def newton_hewer_dare(p: DareProblem, V0, max_steps=4):
+    """Float64 Newton-Hewer reference for the filter DARE from ``V0``.
+
+    Each step solves the Stein equation X = F X F' + Ric(V) - V, with
+    F = A - K C, by scipy's direct solver and sets V <- V + X, until the
+    residual is below solve_dare's certificate max(1e-10 max(1, |Q|),
+    5e-9 max(1, |V|)) (Frobenius norms). Returns (V, Stein solves taken).
+    """
+    A, C, Q, R, V = (np.asarray(M, dtype=np.float64) for M in (p.A, p.C, p.Q, p.R, V0))
+    Q, R, V = (Q + Q.T) / 2, (R + R.T) / 2, (V + V.T) / 2
+    tol = 1e-10 * max(1.0, np.linalg.norm(Q))
+    for steps in range(max_steps + 1):
+        S_inv = np.linalg.inv(C @ V @ C.T + R)
+        K = A @ V @ C.T @ S_inv
+        D = A @ V @ A.T - A @ V @ C.T @ S_inv @ C @ V @ A.T + Q - V
+        if np.linalg.norm(D) < max(tol, 5e-9 * max(1.0, np.linalg.norm(V))):
+            return V, steps
+        V = V + sla.solve_discrete_lyapunov(A - K @ C, (D + D.T) / 2)
+    raise AssertionError(f"reference Newton-Hewer not certified in {max_steps} steps")
+
+
 def savetxt_12g(path, header, data):
     """Reference for thermem.io's CSV writer: np.savetxt at %.12g."""
     np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.12g")

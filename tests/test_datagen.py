@@ -35,6 +35,20 @@ def test_full_toy_structure():
     assert weak.n_z == strong.n_z == 1
 
 
+@pytest.mark.parametrize("spec", [ToySpec.reduced(), ToySpec.full()], ids=lambda s: s.name)
+def test_toy_mesh_equals_grid_prune_refine(spec):
+    from thermem.datagen import toy_role_map
+    from thermem.mesh import build_grid, prune_inactive, refine_many
+
+    mesh = build_grid(spec.nx, spec.ny, spec.nz, cell_size=spec.cell_size,
+                      role_map=toy_role_map(spec), source_roles={ROLE_IGBT})
+    mesh = prune_inactive(mesh)
+    listed = [(1, *xy) for xy in spec.layer1_refine] + [(2, *xy) for xy in spec.layer2_refine]
+    mesh = refine_many(mesh, [mesh.base_cell(*cell).index for cell in listed])
+    toy = build_toy(spec)[0]
+    assert toy.with_observed([]) == mesh
+
+
 def test_reduced_toy_structure():
     spec = ToySpec.reduced()
     mesh, weak, strong = build_toy(spec)

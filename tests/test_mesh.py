@@ -147,6 +147,44 @@ def test_prune_mapping_preserves_geometry():
         assert (a.layer, a.ox, a.oy, a.role) == (b.layer, b.ox, b.oy, b.role)
 
 
+def test_build_grid_prune_refine_equals_the_chain():
+    """build_grid(prune=True, refine=cells) is prune_inactive then refine_many
+    of those base cells, on random grids with pruned top-layer cells."""
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        nx, ny, nz = (int(v) for v in rng.integers(1, [5, 5, 4]))
+        gone = rng.random((nx, ny)) < 0.3
+        kw = dict(
+            cell_size=(1e-3, 2e-3, 5e-4),
+            role_map=lambda ix, iy, layer: "inactive" if layer == 1 and nz > 1 and gone[ix, iy] else "copper",
+        )
+        chain = prune_inactive(build_grid(nx, ny, nz, **kw))
+        base = [(c.layer, c.ox // 2, c.oy // 2) for c in chain.compartments if not c.is_ambient]
+        picked = [base[int(i)] for i in rng.permutation(len(base))[: int(rng.integers(0, len(base) + 1))]]
+        chain = refine_many(chain, [chain.base_cell(*cell).index for cell in picked])
+        assert build_grid(nx, ny, nz, prune=True, refine=picked, **kw) == chain, f"seed {seed}"
+
+
+def test_build_grid_refine_rejects_duplicate_pruned_and_max_level_cells():
+    role_map = lambda ix, iy, layer: "inactive" if (ix, iy, layer) == (0, 0, 1) else "copper"  # noqa: E731
+    with pytest.raises(ValueError, match="duplicate"):
+        build_grid(2, 2, 2, prune=True, refine=[(1, 1, 0), (1, 1, 0)])
+    with pytest.raises(ValueError, match="no level-0 compartment at layer=1, ix=0, iy=0"):
+        build_grid(2, 2, 2, role_map=role_map, prune=True, refine=[(1, 0, 0)])
+    with pytest.raises(ValueError, match="maximum refinement level 0"):
+        build_grid(2, 2, 2, max_refinement_level=0, refine=[(1, 1, 0)])
+    assert build_grid(2, 2, 2, role_map=role_map, refine=[(1, 0, 0)]).n_compartments == 12
+
+
+def test_uncoupled_cell_is_refused_refined_or_not():
+    # Layer 1 keeps only cell (0, 0), and nothing lies below it on layer 2.
+    role_map = lambda ix, iy, layer: "copper" if layer == 3 or (layer, ix, iy) == (1, 0, 0) else "inactive"  # noqa: E731
+    with pytest.raises(ValueError, match=r"no thermal coupling outside their base cell: \[0\]"):
+        build_grid(2, 2, 3, role_map=role_map, prune=True)
+    with pytest.raises(ValueError, match=r"no thermal coupling outside their base cell: \[0, 1, 2, 3\]"):
+        build_grid(2, 2, 3, role_map=role_map, prune=True, refine=[(1, 0, 0)])
+
+
 def test_determinism():
     a = build_grid(4, 3, 2, cell_size=(1e-3, 2e-3, 5e-4))
     b = build_grid(4, 3, 2, cell_size=(1e-3, 2e-3, 5e-4))

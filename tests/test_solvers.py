@@ -210,3 +210,68 @@ def _random_orthogonal(rng, n):
     M = rng.normal(size=(n, n))
     q, _ = np.linalg.qr(M)
     return q
+
+
+def _record_squaring(monkeypatch):
+    """(J, W) of every Stein or Lyapunov squaring solve."""
+    calls = []
+    squaring = solvers._squaring
+
+    def recorded(J, W, tol):
+        calls.append((J, W))
+        return squaring(J, W, tol)
+
+    monkeypatch.setattr(solvers, "_squaring", recorded)
+    return calls
+
+
+def test_dare_newton_corrections_run_in_float32(monkeypatch):
+    rng = np.random.default_rng(31)
+    calls = _record_squaring(monkeypatch)
+    for trial in range(6):
+        p = _random_stable_dare(rng)
+        near = DareProblem(A=0.97 * p.A, C=p.C, Q=1.2 * p.Q, R=0.8 * p.R)
+        V0 = solve_dare(near)
+        calls.clear()
+        V = solve_dare(p, V0=V0)
+        assert calls, "the warm start took no Newton-Hewer correction"
+        assert all(J.dtype == W.dtype == np.float32 for J, W in calls)
+        assert V.dtype == np.float64
+        assert np.array_equal(V, V.T)
+        assert np.linalg.eigvalsh(V).min() > 0
+        assert dare_residual(V, p) < 5e-9 * max(1.0, np.linalg.norm(V))
+
+
+@pytest.mark.parametrize("R", [1e-6, 1e-12])
+def test_dare_warm_starts_of_em_match_float64_newton_hewer(monkeypatch, R):
+    import thermem.smoother as smoother
+    from _oracles import newton_hewer_dare
+    from thermem.datagen import NoiseSpec, ToySpec, build_toy, generate_dataset, strong_theta
+    from thermem.estimation import EmConfig, run_em
+    from thermem.model import Trajectory
+
+    spec = ToySpec.reduced()
+    mesh, _, strong = build_toy(spec)
+    truth, _ = generate_dataset(
+        mesh, strong, strong_theta(spec), NoiseSpec.AAt(1e-4), 1000, seed=3, spec=spec
+    )
+    warm = []
+    real_dare = smoother.solve_dare
+
+    def recorded(p, V0=None):
+        if V0 is not None:
+            warm.append((p, V0))
+        return real_dare(p, V0=V0)
+
+    monkeypatch.setattr(smoother, "solve_dare", recorded)
+    cfg = EmConfig(max_iter=5, theta_tol=1e-300, theta_init=1e-2, q_init=1e-2, R=R)
+    run_em(mesh, strong, Trajectory(P=truth.P, y=truth.y, T=None), cfg, constraint="scalar_identity")
+    assert len(warm) == 4
+
+    calls = _record_squaring(monkeypatch)
+    for p, V0 in warm:
+        V_ref, steps = newton_hewer_dare(p, V0)
+        calls.clear()
+        V = solve_dare(p, V0=V0)
+        assert len(calls) == steps >= 1
+        assert np.linalg.norm(V - V_ref) < 1e-8 * np.linalg.norm(V_ref)
