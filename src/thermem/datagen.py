@@ -21,7 +21,7 @@ dominate every long prediction, which the modeled module does not exhibit).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -346,15 +346,8 @@ def generate_dataset(
     if P.shape[0] != N:
         raise ValueError(f"inputs must have N={N} rows, got {P.shape[0]}")
 
-    base = assemble(ops, theta_true, observed, Q=0.0, R=0.0)
-    Q = process_covariance(noise, base.A, mesh.ambient_index)
-    model = assemble(
-        ops,
-        theta_true,
-        observed,
-        Q=Q,
-        R=0.0 if noise.noiseless else meas_var,
-    )
+    model = assemble(ops, theta_true, observed, R=0.0 if noise.noiseless else meas_var)
+    model = replace(model, Q=process_covariance(noise, model.A, mesh.ambient_index))
     T_1 = np.full(ops.n, ambient_temp)
     traj = simulate(model, T_1, P, seed=seed, noiseless=noise.noiseless)
     return traj, model

@@ -6,10 +6,12 @@ least-squares solution
     theta = (sum E{M' Q^{-1} M})^{-1} sum E{M' Q^{-1} dT},    dT = (T[t+1]-T[t])/dtau
 and the full-covariance update is the expected residual outer product
     Q_full = 1/(N-1) sum E{(dT - M theta)(dT - M theta)'}.
-Because M[t] is linear in the state, each expected term reduces to the
-per-class coupling matrices and the source map sandwiching the statistics;
-the identities used are diag(a) X diag(b) = X o (a b') and
-E{T_t T_{t+1}'} = lagged statistic XZ.
+With r = [T_t; P_t], M[t] theta = G(theta) r and column i of M[t] is G_i r
+for the sparse regressor G_i = G(e_i) (thermem.graph), so every expected
+term reduces to the moments rr = sum E{r r'} and dr = sum E{dT r'}:
+    sum E{M' Q^{-1} M}[i, j] = tr(G_i' Q^{-1} G_j rr),
+    sum E{M' Q^{-1} dT}[i]   = tr(G_i' Q^{-1} dr),
+    sum E{M theta theta' M'} = G rr G',   sum E{dT theta' M'} = dr G'.
 
 Q_full is never used directly: it is projected onto one of three constraint
 families (isotropic qI, free diagonal, or alpha LL' + beta I fitted in the
@@ -122,80 +124,46 @@ def _diag_or_none(M: np.ndarray):
     return None
 
 
+def _moments(stats: SmootherStats, dtau):
+    """rr = sum r r' and dr = sum dT r' for r = [T_t; P_t], dT = (T_{t+1} - T_t)/dtau."""
+    rr = np.block([[stats.XX, stats.XU], [stats.XU.T, stats.UU]])
+    dr = np.hstack([stats.XZ.T - stats.XX, stats.ZU - stats.XU]) / dtau
+    return rr, dr
+
+
 def _quadratic_terms(stats: SmootherStats, ops: GraphOperators, Q_inv, dtau):
     """sum E{M' Q^{-1} M} and sum E{M' Q^{-1} dT}.
 
-    For diagonal Q^{-1} the weighting is applied after the gathered
-    differences, so scaling Q by a constant commutes exactly with the
-    computation (the scalar-identity update is then q-invariant to rounding).
+    Entry (i, j) is tr(G_i' Q^{-1} G_j rr) and entry i of the right-hand side
+    tr(G_i' Q^{-1} dr), each a sum over the nonzeros of G_i. For diagonal
+    Q^{-1} each row of each G_i is summed before the weights are applied, so
+    scaling Q by a constant commutes exactly with the computation (the
+    scalar-identity update is then q-invariant to rounding).
     """
-    n_k, n_z, p = ops.n_k, ops.n_z, ops.n_theta
-    active = ops.heads != ops.ambient_index
-    h, t = ops.heads[active], ops.tails[active]
-    w, cls = ops.weights[active], ops.k_class[active]
+    p, n = ops.n_theta, ops.n
+    rr, dr = _moments(stats, dtau)
     qdiag = _diag_or_none(Q_inv)
-    src = np.arange(ops.n_P)
 
-    def edge_gather(X):
-        """w_e * (Q^{-1} X)[h_e, h_e] - (Q^{-1} X)[h_e, t_e] per active edge."""
+    def traces(X):
+        """tr(G_i' Q^{-1} X) for every i, for an n x (n + n_P) matrix X."""
         if qdiag is None:
-            QX = Q_inv @ X
-            return w * (QX[h, h] - QX[h, t])
-        return w * qdiag[h] * (X[h, h] - X[h, t])
+            X = Q_inv @ X
+            return np.bincount(ops.param, weights=ops.val * X[ops.row, ops.col], minlength=p)
+        by_row = np.bincount(ops.param * n + ops.row, weights=ops.val * X[ops.row, ops.col],
+                             minlength=p * n)
+        return by_row.reshape(p, n) @ qdiag
 
-    def source_gather(X):
-        """(Q^{-1} X)[comp_p, p] per source channel."""
-        if qdiag is None:
-            QX = Q_inv @ X
-            return QX[ops.src_comp, src]
-        return qdiag[ops.src_comp] * X[ops.src_comp, src]
-
-    MQM = np.zeros((p, p))
-    # kk block: (a,b) -> tr(S_a' Q^{-1} S_b XX)
-    for b, S_b in enumerate(ops.coupling_by_class):
-        v = edge_gather(np.asarray(S_b @ stats.XX))
-        MQM[:n_k, b] = np.bincount(cls, weights=v, minlength=n_k)
-
-    if n_z:
-        # kz block: -(sum over sources of Q^{-1} S_a XU picked at the source cells)
-        for a, S_a in enumerate(ops.coupling_by_class):
-            g = source_gather(np.asarray(S_a @ stats.XU))
-            MQM[a, n_k:] = -np.bincount(ops.z_class, weights=g, minlength=n_z)
-        MQM[n_k:, :n_k] = MQM[:n_k, n_k:].T
-        # zz block
-        comp = ops.src_comp
-        G = Q_inv[np.ix_(comp, comp)] * stats.UU
-        Z = np.zeros((ops.n_P, n_z))
-        Z[src, ops.z_class] = 1.0
-        MQM[n_k:, n_k:] = Z.T @ G @ Z
-
-    rhs = np.zeros(p)
-    d = edge_gather((stats.XZ - stats.XX).T)
-    rhs[:n_k] = -np.bincount(cls, weights=d, minlength=n_k) / dtau
-    if n_z:
-        g = source_gather(stats.ZU - stats.XU)
-        rhs[n_k:] = np.bincount(ops.z_class, weights=g, minlength=n_z) / dtau
-    return MQM, rhs
+    MQM = np.column_stack([traces(ops.regressor(e) @ rr) for e in np.eye(p)])
+    return MQM, traces(dr)
 
 
 def _theta_terms(stats: SmootherStats, ops: GraphOperators, theta: ThetaParams):
-    """sum E{dT dT'}, sum E{M theta theta' M'} and sum E{dT theta' M'}.
-
-    With S = sum_a k_a S_a (the coupling sum) and Bt the source map at z,
-    each step contributes M_t theta = -S T_t + Bt P_t, so all three sums
-    collapse onto the statistic matrices.
-    """
+    """sum E{dT dT'}, sum E{M theta theta' M'} = G rr G' and
+    sum E{dT theta' M'} = dr G', for G = G(theta)."""
     dTdT = (stats.XX - stats.XZ - stats.XZ.T + stats.ZZ) / theta.dtau**2
-    S = ops.coupling_sum(theta.k)
-    Bt = ops.source_matrix(theta.z).toarray()
-    SX = np.asarray(S @ stats.XX)            # S E{T T'}
-    SU = np.asarray(S @ stats.XU)            # S E{T P'}
-    SXS = np.asarray(S @ SX.T)               # S (XX S') = S XX S'
-    MththM = SXS - SU @ Bt.T - Bt @ SU.T + Bt @ stats.UU @ Bt.T
-    D = (stats.XZ - stats.XX).T              # sum E{(T_{t+1}-T_t) T_t'}
-    DS = np.asarray(S @ D.T).T               # D S'
-    dTthM = (-DS + (stats.ZU - stats.XU) @ Bt.T) / theta.dtau
-    return dTdT, MththM, dTthM
+    rr, dr = _moments(stats, theta.dtau)
+    G = ops.regressor(theta.vector)
+    return dTdT, G @ (G @ rr).T, (G @ dr.T).T
 
 
 def update_theta(stats: SmootherStats, ops: GraphOperators, Q_inv, dtau: float, warn) -> ThetaParams:

@@ -1,14 +1,14 @@
-"""Directed-graph operators encoding the coupling topology and parameter sharing.
+"""The sparse regressor G(theta) of a mesh under a parameter-sharing scheme.
 
 Every ordered adjacency entry of a mesh becomes one directed edge, so edges
 come in reversed pairs. A conductance on an edge heats or cools the edge's
 head compartment only. The ambient compartment is a boundary condition,
-T_amb(t+1) = T_amb(t), so no edge heats it and its coupling row is zero.
+T_amb(t+1) = T_amb(t), so no edge heats it and its row of G is zero.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
@@ -80,16 +80,20 @@ class SharingScheme:
 
 @dataclass(eq=False)
 class GraphOperators:
-    """Edge and source arrays of a mesh under a sharing scheme.
+    """The regressor of a mesh under a sharing scheme, plus its edge list.
 
-    Edge e is the ordered adjacency entry (tails[e], heads[e], weights[e]) of
-    the mesh, whose one overlap rule makes the weight the shared face over the
-    base-cell face, and k_class[e] is the scheme's class of that coupling.
-    Sources are ordered by compartment index, and channel p feeds
-    compartment src_comp[p] with gain z[z_class[p]] (sources carry no scale).
-    ``coupling_by_class[a]`` is the n x n matrix S_a whose row h holds
-    w_e (e_h - e_t)' summed over the class-a edges t -> h with a non-ambient
-    head, so the state matrix is I - dtau * sum_a k_a S_a.
+    The model is linear in theta = [k', z']': with r_t = [T_t; P_t],
+    ``M[t] theta = G(theta) r_t`` for the n x (n + n_P) regressor
+        G(theta) = [-sum_a k_a S_a, S_z(z)].
+    Row h of S_a holds w_e (e_h - e_t)' summed over the class-a edges t -> h
+    with a non-ambient head, w_e being the shared face over the base-cell
+    face of the mesh's one overlap rule; column p of S_z(z) feeds source
+    channel p (sources ordered by compartment index) to its compartment
+    with its class gain. G is stored by its nonzeros (param, row, col, val),
+    G(theta)[row, col] summing theta[param] * val: first the nonzeros of
+    each -S_a, repeated positions summed, in class order, then one unit
+    entry per source channel. ``tails[e] -> heads[e]`` are the ordered
+    adjacency entries of the mesh, ambient ones included.
     """
 
     n: int
@@ -99,33 +103,29 @@ class GraphOperators:
     ambient_index: int
     tails: np.ndarray
     heads: np.ndarray
-    weights: np.ndarray
-    k_class: np.ndarray
-    src_comp: np.ndarray
-    z_class: np.ndarray
-    coupling_by_class: tuple = field(repr=False, default=())
+    param: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
+    val: np.ndarray
 
     @property
     def n_theta(self) -> int:
         return self.n_k + self.n_z
 
-    def coupling_sum(self, k: np.ndarray) -> sp.csr_matrix:
-        """sum_a k_a S_a for a conductance vector k."""
-        out = sp.csr_matrix((self.n, self.n))
-        for a, S_a in enumerate(self.coupling_by_class):
-            out = out + k[a] * S_a
-        return out
-
-    def source_matrix(self, z: np.ndarray) -> sp.csr_matrix:
-        """The n x n_P input map without dtau: channel p feeds its compartment
-        with gain z[z_class_p]."""
-        return sp.csr_matrix(
-            (z[self.z_class], (self.src_comp, np.arange(self.n_P))), shape=(self.n, self.n_P)
-        )
+    def regressor(self, theta_vec) -> sp.csr_matrix:
+        """G(theta) for theta = [k', z']'; G(e_i) holds the nonzeros of G_i only."""
+        w = np.asarray(theta_vec, dtype=np.float64)[self.param] * self.val
+        keep = w != 0
+        m = self.n + self.n_P
+        pos, at = np.unique(self.row[keep] * m + self.col[keep], return_inverse=True)
+        # bincount adds the entries of one position in storage (class) order, so
+        # G matches the class-by-class sum of the S_a bit for bit.
+        data = np.bincount(at, weights=w[keep])
+        return sp.csr_matrix((data, np.divmod(pos, m)), shape=(self.n, m))
 
 
 def build_operators(mesh: CompartmentMesh, scheme: SharingScheme) -> GraphOperators:
-    """Edge and source arrays and per-class coupling matrices for a mesh and scheme."""
+    """Edge list and regressor nonzeros for a mesh and scheme."""
     comps = mesh.compartments
     n = mesh.n_compartments
     amb = mesh.ambient_index
@@ -136,25 +136,26 @@ def build_operators(mesh: CompartmentMesh, scheme: SharingScheme) -> GraphOperat
     k_class = np.array(
         [scheme.edge_class(comps[i], comps[j]) for i, j, _ in mesh.adjacency], dtype=np.int64
     )
-
     sources = [c for c in comps if c.has_source]
     n_P = len(sources)
-    src_comp = np.array([c.index for c in sources], dtype=np.int64)
-    z_class = np.array([scheme.source_class(c) for c in sources], dtype=np.int64)
 
+    parts = []
     active = heads != amb
-    coupling = []
     for a in range(scheme.n_k):
         sel = active & (k_class == a)
         h, t, w = heads[sel], tails[sel], weights[sel]
         S_a = sp.csr_matrix(
-            (
-                np.concatenate([w, -w]),
-                (np.concatenate([h, h]), np.concatenate([h, t])),
-            ),
+            (np.concatenate([w, -w]), (np.concatenate([h, h]), np.concatenate([h, t]))),
             shape=(n, n),
-        )
-        coupling.append(S_a)
+        ).tocoo()
+        parts.append((np.full(S_a.nnz, a), S_a.row, S_a.col, -S_a.data))
+    parts.append((
+        np.array([scheme.n_k + scheme.source_class(c) for c in sources], dtype=np.int64),
+        np.array([c.index for c in sources], dtype=np.int64),
+        n + np.arange(n_P),
+        np.ones(n_P),
+    ))
+    param, row, col, val = (np.concatenate(x) for x in zip(*parts))
 
     return GraphOperators(
         n=n,
@@ -164,9 +165,8 @@ def build_operators(mesh: CompartmentMesh, scheme: SharingScheme) -> GraphOperat
         ambient_index=amb,
         tails=tails,
         heads=heads,
-        weights=weights,
-        k_class=k_class,
-        src_comp=src_comp,
-        z_class=z_class,
-        coupling_by_class=tuple(coupling),
+        param=param,
+        row=row,
+        col=col,
+        val=val,
     )

@@ -3,19 +3,15 @@
 The one-step update for compartment temperatures is
     T[t+1] = A T[t] + B P[t] + w[t],        w ~ N(0, Q)
     y[t]   = C T[t] + v[t],                 v ~ N(0, R)
-with
-    A = I - dtau * ops.coupling_sum(k)      (= I - dtau * sum_a k_a S_a)
-    B = dtau * ops.source_matrix(z)
-built from the graph operators (see thermem.graph), so every row of A sums
-to one (a uniform temperature offset is preserved) and the ambient row is
-exactly the identity. The same update is linear in the parameter vector
-theta = [k', z']':
-    T[t+1] = T[t] + dtau * M[t] theta + w[t]
-where M[t] theta = -ops.coupling_sum(k) T[t] + ops.source_matrix(z) P[t]:
-column a of the per-step regression matrix M[t] is -S_a T[t], and column
-n_k + b is ops.source_matrix(e_b) P[t], the class-b input powers placed at
-their compartments. The M-step never forms M[t] and works on its expected
-sums (thermem.estimation).
+and it is linear in the parameter vector theta = [k', z']':
+    T[t+1] = T[t] + dtau * M[t] theta + w[t],    M[t] theta = G(theta) [T[t]; P[t]]
+with the n x (n + n_P) regressor G(theta) = [-sum_a k_a S_a, S_z(z)] of the
+graph operators (see thermem.graph). So
+    A = I + dtau * G(theta)[:, :n],         B = dtau * G(theta)[:, n:],
+every row of A sums to one (a uniform temperature offset is preserved) and
+the ambient row is exactly the identity. Column i of M[t] is G_i [T[t]; P[t]]
+for G_i = G(e_i); the M-step never forms M[t] and works on the moments of
+[T[t]; P[t]] (thermem.estimation).
 """
 
 from __future__ import annotations
@@ -135,16 +131,16 @@ def assemble(
             f"theta dimensions ({theta.k.shape[0]}, {theta.z.shape[0]}) do not match "
             f"operators ({ops.n_k}, {ops.n_z})"
         )
-    S = ops.coupling_sum(theta.k)
-    diag = 1.0 - theta.dtau * S.diagonal()
+    G = ops.regressor(theta.vector)
+    diag = 1.0 + theta.dtau * G.diagonal()
     if np.any(diag < 0):
         worst = int(np.argmin(diag))
         raise StabilityError(
             f"explicit scheme violated: dtau * coupling sum exceeds 1 at compartment "
             f"{worst} (diagonal of A would be {diag[worst]:.4g})"
         )
-    A = np.eye(ops.n) - theta.dtau * S.toarray()
-    B = theta.dtau * ops.source_matrix(theta.z).toarray()
+    A = np.eye(ops.n) + theta.dtau * G[:, : ops.n].toarray()
+    B = theta.dtau * G[:, ops.n :].toarray()
     C = selector_matrix(observed, ops.n)
     return StateSpaceModel(
         A=A,

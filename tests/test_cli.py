@@ -7,8 +7,11 @@ import warnings
 
 import numpy as np
 
+import thermem.cli
+import thermem.estimation
 from thermem.cli import main
 from thermem.config import Experiment, mesh_from_config
+from thermem.errors import NumericalError
 from thermem.estimation import EmConfig
 from thermem.io import (
     read_manifest,
@@ -174,6 +177,69 @@ def test_em_config_defaults_come_from_emconfig():
     got = Experiment(cfg).em_config()
     assert got.max_iter == 150 and isinstance(got.max_iter, int)
     assert dataclasses.replace(got, max_iter=EmConfig().max_iter) == EmConfig()
+
+
+def test_em_config_theta_init_tables_become_params_at_config_dtau():
+    cfg = json.loads(json.dumps(SMALL_CONFIG))
+    cfg["em"] = {"theta_init": {"k": [0.01, 0.02, 0.03, 0.04], "z": [0.5]}, "dtau": 0.5}
+    got = Experiment(cfg).em_config().theta_init
+    assert got.dtau == 0.5
+    np.testing.assert_array_equal(got.vector, [0.01, 0.02, 0.03, 0.04, 0.5])
+
+
+def test_identify_takes_a_per_channel_R(tmp_path, monkeypatch):
+    cfg_path, out_dir = write_config(tmp_path)
+    assert main(["generate", "--config", cfg_path]) == 0
+    R = [1e-10, 2e-10, 3e-10, 4e-10, 5e-10]
+    seen = []
+
+    def assemble(*args, **kwargs):
+        model = real(*args, **kwargs)
+        seen.append(model.R)
+        return model
+
+    real = thermem.estimation.assemble
+    monkeypatch.setattr(thermem.estimation, "assemble", assemble)
+    write_config(tmp_path, {"em": {"max_iter": 1, "R": R}})
+    assert main(["identify", "--config", cfg_path]) == 0
+    assert seen and all(np.array_equal(r, np.diag(R)) for r in seen)
+
+    write_config(tmp_path, {"em": {"max_iter": 1, "R": R[:4]}})
+    assert main(["identify", "--config", cfg_path]) == 2
+
+
+def test_identify_abort_leaves_partial_trace_and_exits_3(tmp_path, monkeypatch):
+    """A failing E-step after two recorded rows: exit 3, the rows on disk,
+    and an error that carries the aborted trace."""
+    cfg_path, out_dir = write_config(tmp_path, {"em": {"max_iter": 10, "R": 1e-10}})
+    assert main(["generate", "--config", cfg_path]) == 0
+    calls, raised = [], []
+
+    def rtss_steady(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise NumericalError("E-step failed on purpose")
+        return real_rtss(*args, **kwargs)
+
+    def run_em(*args, **kwargs):
+        try:
+            return real_run_em(*args, **kwargs)
+        except NumericalError as exc:
+            raised.append(exc)
+            raise
+
+    real_rtss, real_run_em = thermem.estimation.rtss_steady, thermem.cli.run_em
+    monkeypatch.setattr(thermem.estimation, "rtss_steady", rtss_steady)
+    monkeypatch.setattr(thermem.cli, "run_em", run_em)
+    assert main(["identify", "--config", cfg_path]) == 3
+    names, trace = read_trace_csv(os.path.join(out_dir, "trace.csv"))
+    assert trace.shape[0] == 2 and names[-2:] == ["step_length", "rejected"]
+    assert not os.path.exists(os.path.join(out_dir, "theta.json"))
+    (exc,) = raised
+    assert len(exc.trace) == 2
+    assert exc.trace.stop_reason.startswith("aborted: E-step failed on purpose")
+    theta_cols = [names.index(name) for name in exc.trace.theta_names]
+    np.testing.assert_allclose(trace[:, theta_cols], np.asarray(exc.trace.theta), rtol=1e-11)
 
 
 def test_identify_max_iter_one(tmp_path):

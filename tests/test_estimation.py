@@ -312,8 +312,8 @@ def test_build_L_no_edges_is_zero():
     empty = GraphOperators(
         n=3, n_k=0, n_z=0, n_P=0, ambient_index=2,
         tails=np.zeros(0, dtype=int), heads=np.zeros(0, dtype=int),
-        weights=np.zeros(0), k_class=np.zeros(0, dtype=int),
-        src_comp=np.zeros(0, dtype=int), z_class=np.zeros(0, dtype=int),
+        param=np.zeros(0, dtype=int), row=np.zeros(0, dtype=int),
+        col=np.zeros(0, dtype=int), val=np.zeros(0),
     )
     np.testing.assert_array_equal(build_L(empty), np.zeros((3, 3)))
 

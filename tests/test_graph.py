@@ -1,4 +1,4 @@
-"""Graph operator assembly: edge arrays, coupling matrices, source map."""
+"""Graph operator assembly: edge list and the sparse regressor G(theta)."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ import pytest
 from _oracles import dense_structure
 from thermem.errors import ConfigurationError
 from thermem.graph import SharingScheme, build_operators
-from thermem.mesh import build_grid, refine_many
+from thermem.mesh import build_grid, prune_inactive, refine_many
 from thermem.model import ThetaParams, assemble
 
 
@@ -52,14 +52,69 @@ def test_edge_count_examples():
     assert len(build_operators(build_grid(2, 2, 1), single_class_scheme()).tails) == 16  # 8 pairs
 
 
+def two_class_scheme():
+    return SharingScheme(
+        node_group=lambda c: "ambient" if c.is_ambient else "cell",
+        k_table={("cell", "cell"): 0, ("ambient", "cell"): 1},
+        z_table={"cell": 0},
+    )
+
+
 def test_reversed_edges_share_scale_and_class():
     m = build_grid(3, 3, 2)
     m = refine_many(m, [m.indices(layer=1)[4]])
-    ops = build_operators(m, single_class_scheme())
-    pairs = {(t, h): (w, c) for t, h, w, c in zip(ops.tails, ops.heads, ops.weights, ops.k_class)}
-    for (t, h), (w, c) in pairs.items():
-        w2, c2 = pairs[(h, t)]
-        assert w2 == w and c2 == c
+    ops = build_operators(m, two_class_scheme())
+    cells = np.arange(ops.n) != ops.ambient_index
+    # Edge t -> h puts -w at (h, t) of its class; its reverse puts -w at (t, h).
+    off = [-ops.regressor(e_a)[:, : ops.n].toarray()[np.ix_(cells, cells)] for e_a in np.eye(2)]
+    for S_a in off:
+        np.fill_diagonal(S_a, 0.0)
+        np.testing.assert_array_equal(S_a, S_a.T)
+    assert np.count_nonzero(off[0]) > 0 and np.count_nonzero(off[1]) == 0
+
+
+def random_sourced_mesh(seed):
+    """A refined grid with IGBT and diode sources on layer 1 and some
+    inactive layer-1 cells pruned."""
+    rng = np.random.default_rng(seed)
+    nx, ny, nz = int(rng.integers(2, 5)), int(rng.integers(1, 4)), int(rng.integers(2, 4))
+    roles = rng.choice(["IGBT", "diode", "copper", "inactive"], size=(nx, ny))
+    roles[0, 0], roles[1, 0] = "IGBT", "diode"
+    m = build_grid(
+        nx, ny, nz, max_refinement_level=2,
+        role_map=lambda ix, iy, layer: roles[ix, iy] if layer == 1 else "copper",
+    )
+    m = prune_inactive(m)
+    for _ in range(2):
+        eligible = [c.index for c in m.compartments if not c.is_ambient and c.refinement_level < 2]
+        picked = rng.choice(eligible, size=int(rng.integers(1, len(eligible) + 1)), replace=False)
+        m = refine_many(m, [int(i) for i in picked])
+    return m
+
+
+def test_regressor_matches_dense_structure_on_random_meshes():
+    """G(theta) = [-sum_a k_a S_a, S_z(z)] against the per-edge oracle, with
+    three conductance classes and separate IGBT and diode gains."""
+    groups = ("IGBT", "ambient", "cu", "diode")
+    pairs = [(g, h) for i, g in enumerate(groups) for h in groups[i:]]
+    scheme = SharingScheme(
+        node_group=lambda c: c.role if c.has_source else ("ambient" if c.is_ambient else "cu"),
+        k_table={pair: i % 3 for i, pair in enumerate(pairs)},
+        z_table={"IGBT": 0, "diode": 1},
+    )
+    rng = np.random.default_rng(3)
+    for seed in range(24):
+        mesh = random_sourced_mesh(seed)
+        ops = build_operators(mesh, scheme)
+        S_list, src = dense_structure(mesh, scheme)
+        k, z = rng.uniform(0.01, 0.1, 3), rng.uniform(0.1, 1.0, 2)
+        S_z = np.zeros((ops.n, len(src)))
+        for p, (comp, zc) in enumerate(src):
+            S_z[comp, p] = z[zc]
+        G_ref = np.hstack([-sum(k_a * S_a for k_a, S_a in zip(k, S_list)), S_z])
+        G = ops.regressor(np.concatenate([k, z]))
+        assert sum(np.any(S_a) for S_a in S_list) >= 2 and {zc for _, zc in src} == {0, 1}
+        np.testing.assert_allclose(G.toarray(), G_ref, rtol=0, atol=1e-14, err_msg=f"seed {seed}")
 
 
 def test_uncovered_pair_raises_named_configuration_error():
@@ -113,7 +168,7 @@ def test_negative_class_index_raises(k_table, z_table):
 def test_ambient_row_of_coupling_is_zero():
     m = build_grid(2, 2, 2)
     ops = build_operators(m, single_class_scheme())
-    S = ops.coupling_sum(np.array([0.3])).toarray()
+    S = -ops.regressor(np.array([0.3, 0.0]))[:, : ops.n].toarray()
     assert np.all(S[ops.ambient_index] == 0)
     # Rows of the coupling operator sum to zero, so A rows sum to one.
     assert np.allclose(S.sum(axis=1), 0.0, atol=1e-14)
