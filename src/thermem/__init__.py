@@ -17,13 +17,7 @@ from thermem.errors import (
     StabilityError,
     ThermemError,
 )
-from thermem.mesh import (
-    Compartment,
-    CompartmentMesh,
-    build_grid,
-    prune_inactive,
-    refine_many,
-)
+from thermem.mesh import Compartment, CompartmentMesh, build_grid
 from thermem.graph import GraphOperators, SharingScheme, build_operators
 from thermem.model import (
     StateSpaceModel,

@@ -32,7 +32,7 @@ from thermem.errors import (
     StabilityError,
     ThermemError,
 )
-from thermem.estimation import EmConfig, run_em
+from thermem.estimation import run_em
 from thermem.graph import build_operators
 from thermem.model import (
     assemble,
@@ -82,7 +82,7 @@ def cmd_generate(args) -> int:
             f"no true parameters known for scheme {exp.scheme_name!r}; add theta_true"
         )
     # The variance that simulates the measurement noise is the one recorded.
-    meas_var = exp.spec.meas_var if exp.spec else exp.cfg.get("em", {}).get("R", EmConfig.R)
+    meas_var = exp.spec.meas_var if exp.spec else exp.em_config().R
     traj, model = generate_dataset(
         exp.mesh, scheme, theta_true, noise, N, seed, spec=exp.spec, meas_var=meas_var
     )

@@ -21,12 +21,12 @@ shown. theta_init may also be {"k": [...], "z": [...]}. R is the measurement
 covariance; for a custom mesh, generate also simulates its noise with R.
 
 Custom meshes give per-layer role maps as character rows (top layer is
-layer 1; map row 0 is y = 0), plus refinement/observation lists:
+layer 1, layers without a map are copper; map row 0 is y = 0), plus
+refinement/observation lists:
 
     "mesh": {
-      "nx": 4, "ny": 2, "nz": 2, "cell_size": [3e-3, 3e-3, 1e-3],
+      "nx": 4, "ny": 2, "nz": 2,
       "layers": {"1": ["IIDD", ".RR."], "2": ["CCCC", "CCCC"]},
-      "prune_inactive": true,
       "refine": [[1, 0, 0]],                       # [layer, ix, iy]
       "observe": [[1, 0, 0], "ambient", {"role": "IGBT", "first": 2}],
       "source_roles": ["IGBT"]
@@ -44,7 +44,7 @@ layer 1; map row 0 is y = 0), plus refinement/observation lists:
     "theta_true": {"k": [...], "z": [...]}          # needed to generate data
 
 Role characters: I=IGBT, D=diode, R=rectifier, C=copper, S=substrate,
-B=baseplate, .=inactive.
+B=baseplate, .=inactive (no compartment). Other mesh keys are refused.
 """
 
 from __future__ import annotations
@@ -81,6 +81,8 @@ ROLE_CHARS = {
     ".": "inactive",
 }
 
+MESH_KEYS = ("nx", "ny", "nz", "layers", "refine", "observe", "source_roles")
+
 _EM_NUMBERS = {"max_iter": int, "theta_tol": float, "q_init": float, "dtau": float}
 
 CONSTRAINT_ALIASES = {
@@ -115,16 +117,18 @@ def constraint_kind(name: str) -> str:
 
 def mesh_from_config(spec: dict) -> CompartmentMesh:
     """Build a mesh from the custom-mesh schema."""
+    unknown = sorted(set(spec) - set(MESH_KEYS))
+    if unknown:
+        raise ConfigurationError(f"unknown mesh keys {unknown}; expected some of {list(MESH_KEYS)}")
     try:
         nx, ny, nz = int(spec["nx"]), int(spec["ny"]), int(spec["nz"])
     except KeyError as exc:
         raise ConfigurationError(f"mesh config missing dimension {exc}") from None
-    cell_size = tuple(spec.get("cell_size", (1e-3, 1e-3, 1e-3)))
-    layers = spec.get("layers", {})
-
     maps = {}
-    for key, rows in layers.items():
+    for key, rows in spec.get("layers", {}).items():
         layer = int(key)
+        if not 1 <= layer <= nz:
+            raise ConfigurationError(f"layer {key!r} map is outside layers 1..{nz}")
         if len(rows) != ny or any(len(r) != nx for r in rows):
             raise ConfigurationError(
                 f"layer {layer} map must be {ny} rows of {nx} characters"
@@ -147,11 +151,9 @@ def mesh_from_config(spec: dict) -> CompartmentMesh:
         nx,
         ny,
         nz,
-        cell_size=cell_size,
         role_map=role_map,
         source_roles=set(spec.get("source_roles", ("IGBT", "diode", "rectifier"))),
-        max_refinement_level=int(spec.get("max_refinement_level", 1)),
-        prune=spec.get("prune_inactive", True),
+        prune=True,
         refine=spec.get("refine", []),
     )
     observed = _resolve_observed(mesh, spec.get("observe", []))

@@ -29,6 +29,7 @@ import numpy as np
 from thermem.errors import ConfigurationError
 from thermem.graph import GraphOperators, SharingScheme, build_operators
 from thermem.mesh import (
+    BASE_SPAN,
     ROLE_AMBIENT,
     ROLE_BASEPLATE,
     ROLE_COPPER,
@@ -72,13 +73,17 @@ Z_TRUE = 0.05  # temperature rise per unit source power per step (all volume
 
 @dataclass(frozen=True)
 class ToySpec:
-    """Geometry, observation set, true parameters, and input profile."""
+    """Layout, observation set, true parameters, and input profile.
+
+    The layout is a base grid of nx x ny cells on nz layers with role
+    regions and the base cells split once. Cell dimensions are not
+    parameters: the geometry is folded into the true k and z values.
+    """
 
     name: str = "toy"
     nx: int = 17
     ny: int = 10
     nz: int = 4
-    cell_size: tuple = (3e-3, 3e-3, 1e-3)
     # Inclusive base-cell ranges (x0, x1, y0, y1) per chip region.
     igbt_clusters: tuple = ((1, 5, 1, 3), (6, 10, 1, 3), (11, 15, 1, 3))
     diode_clusters: tuple = ((1, 5, 5, 6), (6, 10, 5, 6), (11, 15, 5, 6))
@@ -210,7 +215,6 @@ def build_toy(spec: Optional[ToySpec] = None):
         spec.nx,
         spec.ny,
         spec.nz,
-        cell_size=spec.cell_size,
         role_map=toy_role_map(spec),
         source_roles={ROLE_IGBT},
         prune=True,
@@ -239,7 +243,7 @@ def build_toy(spec: Optional[ToySpec] = None):
 def source_clusters(spec: ToySpec, mesh: CompartmentMesh) -> np.ndarray:
     """Cluster id per source compartment: the chip region whose x-center is
     nearest its own, both as doubled integer coordinates on the fine grid."""
-    centers = np.array([(x0 + x1 + 1) * mesh.scale for (x0, x1, _, _) in spec.igbt_clusters])
+    centers = np.array([(x0 + x1 + 1) * BASE_SPAN for (x0, x1, _, _) in spec.igbt_clusters])
     mids = np.array([2 * c.ox + c.span for c in mesh.compartments if c.has_source])
     return np.argmin(np.abs(mids[:, None] - centers), axis=1).astype(np.int64)
 
@@ -259,12 +263,21 @@ def toy_inputs(spec: ToySpec, mesh: CompartmentMesh, N: int) -> np.ndarray:
     return _square_waves(N, periods, phases, spec.pulse_amp, spec.pulse_duty)
 
 
+NOISE_KINDS = ("none", "q_iso", "AAt")
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Process-noise model for dataset generation."""
 
     kind: str = "none"  # none | q_iso | AAt
     sigma2: float = 0.0
+
+    def __post_init__(self):
+        if self.kind not in NOISE_KINDS:
+            raise ConfigurationError(f"unknown noise kind {self.kind!r}; expected one of {NOISE_KINDS}")
+        if not (np.isfinite(self.sigma2) and self.sigma2 >= 0):
+            raise ConfigurationError(f"noise sigma2 must be finite and >= 0, got {self.sigma2!r}")
 
     @staticmethod
     def none() -> "NoiseSpec":
@@ -290,13 +303,10 @@ def process_covariance(noise: NoiseSpec, A: np.ndarray, ambient_index: int) -> n
         return np.zeros((n, n))
     if noise.kind == "q_iso":
         Q = noise.sigma2 * np.eye(n)
-    elif noise.kind == "AAt":
+    else:  # AAt
         Abar = A.copy()
         Abar[ambient_index, :] = 0.0
-        Q = noise.sigma2 * (Abar @ Abar.T)
-        return Q
-    else:
-        raise ConfigurationError(f"unknown noise kind {noise.kind!r}")
+        return noise.sigma2 * (Abar @ Abar.T)
     Q[ambient_index, :] = 0.0
     Q[:, ambient_index] = 0.0
     return Q

@@ -260,6 +260,14 @@ class EmConfig:
             raise ValueError("max_iter must be >= 1")
         if self.theta_tol <= 0 or self.q_init <= 0:
             raise ValueError("tolerances and q_init must be positive")
+        R = np.asarray(self.R, dtype=np.float64)
+        if R.ndim == 2 and np.isfinite(R).all() and np.array_equal(R, R.T):
+            R = np.linalg.eigvalsh(R)
+        if R.ndim > 1 or not np.all(np.isfinite(R) & (R > 0)):
+            raise ValueError(
+                "R must be a positive scalar, a vector of positive entries, "
+                f"or a symmetric positive-definite matrix, got {self.R!r}"
+            )
 
 
 @dataclass(eq=False)

@@ -4,9 +4,9 @@ The modeled volume is discretized into a uniform Cartesian grid of cuboid
 compartments (nx x ny cells per layer, nz layers stacked along Z). Layer 1 is
 the top (chip side), layer nz the bottom (baseplate side); a single extra
 "ambient" compartment sits below the bottom layer and every bottom-layer cell
-couples to it. Cells may be split once (or more, if configured) into four
-quadtree children in the X-Y plane, which is how critical chip areas are
-resolved without refining whole layers.
+couples to it. A base cell may be split once into four quadtree children in
+the X-Y plane, which is how critical chip areas are resolved without
+refining whole layers.
 
 Meshes are immutable values: every operation returns a new mesh. Compartments
 are kept in a canonical order, row-major by (layer, y-origin, x-origin) with
@@ -52,15 +52,17 @@ VALID_ROLES = frozenset(
 # Roles that carry a heat source by default (chips dissipate, passives do not).
 SOURCE_ROLES = frozenset({ROLE_IGBT, ROLE_DIODE, ROLE_RECTIFIER})
 
+# Fine-grid units per base-cell edge: a split cell's children span one unit.
+BASE_SPAN = 2
+
 
 @dataclass(frozen=True)
 class Compartment:
     """One isothermal control volume of the mesh.
 
     ``layer`` is 1-based from the top; the ambient compartment uses nz + 1.
-    ``ox, oy, span`` locate the X-Y footprint on the fine integer grid
-    (base cells have span = 2**max_refinement_level), whose edge is the
-    mesh's ``cell_size`` in meters.
+    ``ox, oy, span`` locate the X-Y footprint on the fine integer grid:
+    base cells span BASE_SPAN units, the children of a split cell one.
     """
 
     index: int
@@ -68,7 +70,6 @@ class Compartment:
     ox: int
     oy: int
     span: int
-    refinement_level: int
     role: str
     observed: bool = False
     has_source: bool = False
@@ -90,20 +91,13 @@ class CompartmentMesh:
     nx: int
     ny: int
     nz: int
-    cell_size: tuple
     compartments: tuple
     adjacency: tuple
     ambient_index: int
-    max_refinement_level: int = 1
 
     @property
     def n_compartments(self) -> int:
         return len(self.compartments)
-
-    @property
-    def scale(self) -> int:
-        """Fine-grid units per base cell edge."""
-        return 2**self.max_refinement_level
 
     def indices(self, role: Optional[str] = None, layer: Optional[int] = None):
         """Compartment indices filtered by role and/or layer, in index order."""
@@ -117,12 +111,11 @@ class CompartmentMesh:
         return out
 
     def base_cell(self, layer: int, ix: int, iy: int) -> Compartment:
-        """The unrefined (level-0) compartment at base-grid coordinates."""
-        s = self.scale
+        """The unsplit compartment at base-grid coordinates."""
         for c in self.compartments:
-            if c.layer == layer and c.refinement_level == 0 and c.ox == ix * s and c.oy == iy * s:
+            if (c.layer, c.ox, c.oy, c.span) == (layer, ix * BASE_SPAN, iy * BASE_SPAN, BASE_SPAN):
                 return c
-        raise ValueError(f"no level-0 compartment at layer={layer}, ix={ix}, iy={iy}")
+        raise ValueError(f"no base cell at layer={layer}, ix={ix}, iy={iy}")
 
     def with_observed(self, indices: Iterable[int]) -> "CompartmentMesh":
         """A copy where exactly the given compartments are tagged observed."""
@@ -143,7 +136,7 @@ def _overlap(lo_a, span_a, lo_b, span_b):
     return np.maximum(hi - np.maximum(lo_a[:, None], lo_b), 0)
 
 
-def _build_adjacency(cells, scale):
+def _build_adjacency(cells):
     """Face adjacency with shared-area weights from integer footprints.
 
     One rule weighs every coupling: two compartments share a face when they
@@ -165,12 +158,12 @@ def _build_adjacency(cells, scale):
     for layer, (idx, ox, oy, sp) in layers.items():
         # p's right (top) edge meets q's left (bottom) edge: an x-face (y-face).
         faces = [
-            (idx, ((ox + sp)[:, None] == ox) * _overlap(oy, sp, oy, sp), scale),
-            (idx, ((oy + sp)[:, None] == oy) * _overlap(ox, sp, ox, sp), scale),
+            (idx, ((ox + sp)[:, None] == ox) * _overlap(oy, sp, oy, sp), BASE_SPAN),
+            (idx, ((oy + sp)[:, None] == oy) * _overlap(ox, sp, ox, sp), BASE_SPAN),
         ]
         if layer + 1 in layers:
             jdx, bx, by, bs = layers[layer + 1]
-            faces.append((jdx, _overlap(ox, sp, bx, bs) * _overlap(oy, sp, by, bs), scale**2))
+            faces.append((jdx, _overlap(ox, sp, bx, bs) * _overlap(oy, sp, by, bs), BASE_SPAN**2))
         for other, shared, base in faces:
             p, q = np.nonzero(shared)
             for i, j, w in zip(idx[p].tolist(), other[q].tolist(), (shared[p, q] / base).tolist()):
@@ -179,22 +172,69 @@ def _build_adjacency(cells, scale):
     return tuple(sorted((i, j, w) for (i, j), w in pairs.items()))
 
 
-def _assemble(cells, nx, ny, nz, cell_size, max_level):
-    """Canonical ordering, index assignment, adjacency, and invariant checks."""
-    ambient = [c for c in cells if c.is_ambient]
-    if len(ambient) != 1:
-        raise ValueError(f"mesh must contain exactly one ambient compartment, got {len(ambient)}")
-    body = sorted(
-        (c for c in cells if not c.is_ambient), key=lambda c: (c.layer, c.oy, c.ox)
-    )
-    ordered = body + ambient
+def build_grid(
+    nx: int,
+    ny: int,
+    nz: int,
+    role_map: Optional[Callable[[int, int, int], str]] = None,
+    source_roles=SOURCE_ROLES,
+    prune: bool = False,
+    refine=(),
+) -> CompartmentMesh:
+    """Uniform Cartesian grid of nx*ny*nz cells plus one ambient compartment.
+
+    ``role_map(ix, iy, layer)`` assigns a role per base cell (default: all
+    copper). Compartments whose role is in ``source_roles`` are tagged as
+    heat sources. With ``prune`` the inactive cells are left out. Each base
+    cell listed in ``refine`` as (layer, ix, iy) is split once into its four
+    quadtree children; a cell listed twice, or not in the mesh, is refused.
+    """
+    if nx < 1 or ny < 1 or nz < 1:
+        raise ValueError(f"grid dimensions must be positive, got ({nx}, {ny}, {nz})")
+    wanted = [tuple(cell) for cell in refine]
+    split = set(wanted)
+    if len(split) != len(wanted):
+        raise ValueError(f"duplicate refinement cells in {wanted}")
+
+    cells = []
+    for layer in range(1, nz + 1):
+        for iy in range(ny):
+            for ix in range(nx):
+                role = role_map(ix, iy, layer) if role_map else ROLE_COPPER
+                if role not in VALID_ROLES or role == ROLE_AMBIENT:
+                    raise ValueError(f"invalid role {role!r} at ({ix}, {iy}, layer {layer})")
+                if prune and role == ROLE_INACTIVE:
+                    continue
+                cell = Compartment(
+                    index=-1,
+                    layer=layer,
+                    ox=ix * BASE_SPAN,
+                    oy=iy * BASE_SPAN,
+                    span=BASE_SPAN,
+                    role=role,
+                    has_source=role in source_roles,
+                )
+                if (layer, ix, iy) not in split:
+                    cells.append(cell)
+                    continue
+                split.remove((layer, ix, iy))
+                cells += [
+                    dataclasses.replace(cell, ox=cell.ox + dx, oy=cell.oy + dy, span=1)
+                    for dy in (0, 1)
+                    for dx in (0, 1)
+                ]
+    if split:
+        layer, ix, iy = next(cell for cell in wanted if cell in split)
+        raise ValueError(f"no base cell at layer={layer}, ix={ix}, iy={iy}")
+
+    ambient = Compartment(index=-1, layer=nz + 1, ox=0, oy=0, span=0, role=ROLE_AMBIENT)
+    ordered = sorted(cells, key=lambda c: (c.layer, c.oy, c.ox)) + [ambient]
     indexed = tuple(dataclasses.replace(c, index=i) for i, c in enumerate(ordered))
-    scale = 2**max_level
-    adjacency = _build_adjacency(indexed, scale)
+    adjacency = _build_adjacency(indexed)
 
     # A base cell must couple to something outside itself; its quadtree
     # children coupling only to each other do not count.
-    base = [(c.layer, c.ox // scale, c.oy // scale) for c in indexed]
+    base = [(c.layer, c.ox // BASE_SPAN, c.oy // BASE_SPAN) for c in indexed]
     coupled = {base[i] for (i, j, _) in adjacency if base[i] != base[j]}
     orphans = [c.index for c in indexed if not c.is_ambient and base[c.index] not in coupled]
     if orphans:
@@ -204,130 +244,7 @@ def _assemble(cells, nx, ny, nz, cell_size, max_level):
         nx=nx,
         ny=ny,
         nz=nz,
-        cell_size=tuple(float(v) for v in cell_size),
         compartments=indexed,
         adjacency=adjacency,
         ambient_index=len(indexed) - 1,
-        max_refinement_level=max_level,
     )
-
-
-def build_grid(
-    nx: int,
-    ny: int,
-    nz: int,
-    cell_size=(1.0, 1.0, 1.0),
-    role_map: Optional[Callable[[int, int, int], str]] = None,
-    source_roles=SOURCE_ROLES,
-    max_refinement_level: int = 1,
-    prune: bool = False,
-    refine=(),
-) -> CompartmentMesh:
-    """Uniform Cartesian grid of nx*ny*nz cells plus one ambient compartment.
-
-    ``role_map(ix, iy, layer)`` assigns a role per base cell (default: all
-    copper). Compartments whose role is in ``source_roles`` are tagged as
-    heat sources. With ``prune`` the inactive cells are left out, and each
-    base cell listed in ``refine`` as (layer, ix, iy) is split once: the mesh
-    of prune_inactive and refine_many on the grid, assembled only once.
-    """
-    if nx < 1 or ny < 1 or nz < 1:
-        raise ValueError(f"grid dimensions must be positive, got ({nx}, {ny}, {nz})")
-    if any(s <= 0 for s in cell_size):
-        raise ValueError(f"cell_size must be positive, got {cell_size}")
-    if max_refinement_level < 0:
-        raise ValueError("max_refinement_level must be >= 0")
-
-    scale = 2**max_refinement_level
-    cells, at = [], {}
-    for iz in range(nz):
-        layer = iz + 1
-        for iy in range(ny):
-            for ix in range(nx):
-                role = role_map(ix, iy, layer) if role_map else ROLE_COPPER
-                if role not in VALID_ROLES or role == ROLE_AMBIENT:
-                    raise ValueError(f"invalid role {role!r} at ({ix}, {iy}, layer {layer})")
-                if prune and role == ROLE_INACTIVE:
-                    continue
-                # The grid loop runs in canonical order, so a cell's position
-                # here is its index in the unrefined mesh.
-                at[layer, ix, iy] = len(cells)
-                cells.append(
-                    Compartment(
-                        index=-1,
-                        layer=layer,
-                        ox=ix * scale,
-                        oy=iy * scale,
-                        span=scale,
-                        refinement_level=0,
-                        role=role,
-                        has_source=role in source_roles,
-                    )
-                )
-    cells.append(
-        Compartment(
-            index=-1,
-            layer=nz + 1,
-            ox=0,
-            oy=0,
-            span=0,
-            refinement_level=0,
-            role=ROLE_AMBIENT,
-        )
-    )
-    chosen = []
-    for layer, ix, iy in refine:
-        if (layer, ix, iy) not in at:
-            raise ValueError(f"no level-0 compartment at layer={layer}, ix={ix}, iy={iy}")
-        chosen.append(at[layer, ix, iy])
-    cells = _split_chosen(cells, chosen, max_refinement_level)
-    return _assemble(cells, nx, ny, nz, cell_size, max_refinement_level)
-
-
-def _split(c: Compartment):
-    """Quadtree children of a cell, ordered SW, SE, NW, NE."""
-    half = c.span // 2
-    offsets = ((0, 0), (half, 0), (0, half), (half, half))  # (dx, dy) by (y, x) order
-    return [
-        dataclasses.replace(
-            c,
-            ox=c.ox + dx,
-            oy=c.oy + dy,
-            span=half,
-            refinement_level=c.refinement_level + 1,
-        )
-        for dx, dy in offsets
-    ]
-
-
-def _split_chosen(cells, chosen, max_level):
-    """``cells`` with the cells at positions ``chosen`` split; duplicates and
-    cells at the maximum refinement level are rejected."""
-    if len(set(chosen)) != len(chosen):
-        raise ValueError("duplicate refinement indices")
-    for ci in chosen:
-        if cells[ci].refinement_level >= max_level:
-            raise ValueError(f"compartment {ci} already at maximum refinement level {max_level}")
-    chosen = set(chosen)
-    return [part for ci, c in enumerate(cells) for part in (_split(c) if ci in chosen else [c])]
-
-
-def refine_many(mesh: CompartmentMesh, cell_indices) -> CompartmentMesh:
-    """Refine several compartments of the same mesh in one rebuild.
-
-    Indices refer to ``mesh``; duplicates are rejected.
-    """
-    wanted = list(cell_indices)
-    for ci in wanted:
-        if not 0 <= ci < mesh.n_compartments:
-            raise ValueError(f"compartment index {ci} out of range")
-        if mesh.compartments[ci].is_ambient:
-            raise ValueError("cannot refine the ambient compartment")
-    cells = _split_chosen(list(mesh.compartments), wanted, mesh.max_refinement_level)
-    return _assemble(cells, mesh.nx, mesh.ny, mesh.nz, mesh.cell_size, mesh.max_refinement_level)
-
-
-def prune_inactive(mesh: CompartmentMesh) -> CompartmentMesh:
-    """The mesh without its inactive compartments, reindexed."""
-    kept = [c for c in mesh.compartments if c.role != ROLE_INACTIVE]
-    return _assemble(kept, mesh.nx, mesh.ny, mesh.nz, mesh.cell_size, mesh.max_refinement_level)

@@ -19,6 +19,28 @@ from thermem.smoother import SmootherStats, _check_inputs
 from thermem.solvers import DareProblem, solve_dare
 
 
+def grid_cells(nx, ny, nz, role_map, refine=()):
+    """Footprints (layer, oy, ox, span, role) of the pruned grid with the
+    ``refine`` base cells (layer, ix, iy) split, in canonical order.
+
+    A base cell covers the fine-grid square [2 ix, 2 ix + 2) x [2 iy, 2 iy + 2);
+    each of a split cell's four children covers one unit square of it.
+    Inactive cells are left out.
+    """
+    out = []
+    for layer in range(1, nz + 1):
+        for iy in range(ny):
+            for ix in range(nx):
+                role = role_map(ix, iy, layer)
+                if role == "inactive":
+                    continue
+                if (layer, ix, iy) in refine:
+                    out += [(layer, 2 * iy + dy, 2 * ix + dx, 1, role) for dy in (0, 1) for dx in (0, 1)]
+                else:
+                    out.append((layer, 2 * iy, 2 * ix, 2, role))
+    return sorted(out)
+
+
 def adjacency_pairs(mesh):
     """Ordered coupling entries (i, j, weight) of a mesh by a loop over all
     compartment pairs, from each compartment's ox, oy, span and layer.
@@ -28,7 +50,7 @@ def adjacency_pairs(mesh):
     share their footprint overlap area over the base-cell footprint; every
     bottom-layer cell couples to the ambient by its own footprint.
     """
-    s = mesh.scale
+    s = 2  # fine-grid units per base-cell edge
 
     def overlap(lo_a, lo_b, span_a, span_b):
         return max(0, min(lo_a + span_a, lo_b + span_b) - max(lo_a, lo_b))

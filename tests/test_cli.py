@@ -6,6 +6,7 @@ import os
 import warnings
 
 import numpy as np
+import pytest
 
 import thermem.cli
 import thermem.estimation
@@ -26,9 +27,7 @@ SMALL_CONFIG = {
         "nx": 2,
         "ny": 2,
         "nz": 2,
-        "cell_size": [3e-3, 3e-3, 1e-3],
         "layers": {"1": ["II", "II"], "2": ["CC", "CC"]},
-        "prune_inactive": True,
         "refine": [],
         "observe": [[1, 0, 0], [1, 1, 0], [1, 0, 1], [1, 1, 1], "ambient"],
         "source_roles": ["IGBT"],
@@ -208,6 +207,66 @@ def test_identify_takes_a_per_channel_R(tmp_path, monkeypatch):
     assert main(["identify", "--config", cfg_path]) == 2
 
 
+@pytest.mark.parametrize("R", [-1e-6, 0.0])
+def test_identify_refuses_a_non_positive_R(tmp_path, caplog, R):
+    cfg_path, out_dir = write_config(tmp_path)
+    assert main(["generate", "--config", cfg_path]) == 0
+    write_config(tmp_path, {"em": {"max_iter": 1, "R": R}})
+    assert main(["identify", "--config", cfg_path]) == 2
+    assert "R must be a positive scalar" in caplog.text
+    assert not os.path.exists(os.path.join(out_dir, "theta.json"))
+    # A custom mesh simulates its measurement noise with the same R.
+    os.remove(os.path.join(out_dir, "manifest.json"))
+    assert main(["generate", "--config", cfg_path]) == 2
+    assert not os.path.exists(os.path.join(out_dir, "manifest.json"))
+
+
+@pytest.mark.parametrize(
+    "R, ok",
+    [(1e-6, True), ([1e-6, 2e-6], True), ([[2e-6, 1e-6], [1e-6, 2e-6]], True),
+     ([1e-6, 0.0], False), ([[1e-6, 2e-6], [2e-6, 1e-6]], False),
+     ([[2e-6, 1e-6], [0.0, 2e-6]], False), (float("nan"), False), ([[[1e-6]]], False)],
+    ids=["scalar", "vector", "spd", "zero-entry", "indefinite", "asymmetric", "nan", "3-d"],
+)
+def test_em_config_R_is_a_positive_variance(R, ok):
+    if ok:
+        assert EmConfig(R=R).R == R
+    else:
+        with pytest.raises(ValueError, match="R must be a positive scalar"):
+            EmConfig(R=R)
+
+
+@pytest.mark.parametrize(
+    "noise, message",
+    [({"kind": "AAT"}, "unknown noise kind 'AAT'"),
+     ({"kind": "AAt", "sigma2": -1e-4}, "noise sigma2 must be finite and >= 0")],
+)
+def test_generate_refuses_unknown_noise_and_negative_variance(tmp_path, caplog, noise, message):
+    cfg_path, out_dir = write_config(tmp_path, {"generate": {"N": 50, "noise": noise}})
+    assert main(["generate", "--config", cfg_path]) == 2
+    assert message in caplog.text
+    assert not os.path.exists(os.path.join(out_dir, "manifest.json"))
+
+
+@pytest.mark.parametrize("layer", ["0", "3"])
+def test_layer_map_outside_the_mesh_exits_2(tmp_path, caplog, layer):
+    mesh = json.loads(json.dumps(SMALL_CONFIG["mesh"]))
+    mesh["layers"][layer] = ["XX", "XX"]
+    cfg_path, out_dir = write_config(tmp_path, {"mesh": mesh})
+    assert main(["generate", "--config", cfg_path]) == 2
+    assert f"layer '{layer}' map is outside layers 1..2" in caplog.text
+    assert not os.path.exists(os.path.join(out_dir, "dataset.csv"))
+
+
+@pytest.mark.parametrize("key", ["cell_size", "prune_inactive", "max_refinement_level"])
+def test_unknown_mesh_key_exits_2(tmp_path, caplog, key):
+    mesh = json.loads(json.dumps(SMALL_CONFIG["mesh"]))
+    mesh[key] = 1
+    cfg_path, _ = write_config(tmp_path, {"mesh": mesh})
+    assert main(["generate", "--config", cfg_path]) == 2
+    assert f"unknown mesh keys ['{key}']" in caplog.text
+
+
 def test_identify_abort_leaves_partial_trace_and_exits_3(tmp_path, monkeypatch):
     """A failing E-step after two recorded rows: exit 3, the rows on disk,
     and an error that carries the aborted trace."""
@@ -258,7 +317,7 @@ def test_config_refine_list_and_observe_entries():
     mesh = mesh_from_config(spec)
     # 4 chip cells, 3 copper cells, the 4 children of copper cell (1, 1), ambient.
     assert mesh.n_compartments == 12
-    children = [c for c in mesh.compartments if c.refinement_level == 1]
+    children = [c for c in mesh.compartments if c.span == 1]
     assert [(c.layer, c.ox, c.oy) for c in children] == [(2, 2, 2), (2, 3, 2), (2, 2, 3), (2, 3, 3)]
     assert [c.index for c in mesh.compartments if c.observed] == [0, 1, *range(4, 12)]
 

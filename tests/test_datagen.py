@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from _oracles import grid_cells
 
 from thermem.datagen import (
     STRONG_K_TRUE,
@@ -37,16 +38,18 @@ def test_full_toy_structure():
 
 @pytest.mark.parametrize("spec", [ToySpec.reduced(), ToySpec.full()], ids=lambda s: s.name)
 def test_toy_mesh_equals_grid_prune_refine(spec):
+    """The toy mesh is its pruned grid with exactly the listed cells split,
+    sources on the IGBT cells, in canonical order."""
     from thermem.datagen import toy_role_map
-    from thermem.mesh import build_grid, prune_inactive, refine_many
 
-    mesh = build_grid(spec.nx, spec.ny, spec.nz, cell_size=spec.cell_size,
-                      role_map=toy_role_map(spec), source_roles={ROLE_IGBT})
-    mesh = prune_inactive(mesh)
     listed = [(1, *xy) for xy in spec.layer1_refine] + [(2, *xy) for xy in spec.layer2_refine]
-    mesh = refine_many(mesh, [mesh.base_cell(*cell).index for cell in listed])
-    toy = build_toy(spec)[0]
-    assert toy.with_observed([]) == mesh
+    mesh = build_toy(spec)[0]
+    cells = [c for c in mesh.compartments if not c.is_ambient]
+    assert [(c.layer, c.oy, c.ox, c.span, c.role) for c in cells] == grid_cells(
+        spec.nx, spec.ny, spec.nz, toy_role_map(spec), listed
+    )
+    assert [c.index for c in mesh.compartments] == list(range(mesh.n_compartments))
+    assert all(c.has_source == (c.role == ROLE_IGBT) for c in mesh.compartments)
 
 
 def test_reduced_toy_structure():

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from _oracles import dense_structure
+from _oracles import dense_structure, grid_cells
 from thermem.errors import ConfigurationError
 from thermem.graph import SharingScheme, build_operators
-from thermem.mesh import build_grid, prune_inactive, refine_many
+from thermem.mesh import build_grid
 from thermem.model import ThetaParams, assemble
 
 
@@ -25,9 +25,11 @@ def single_class_scheme():
     ids=["two-node", "2x2x2", "refined-3x3x2"],
 )
 def test_assemble_matches_dense_structure(shape, refined):
-    mesh = build_grid(*shape, role_map=lambda ix, iy, layer: "IGBT" if layer == 1 else "copper")
-    if refined:
-        mesh = refine_many(mesh, [mesh.indices(layer=1)[4]])
+    mesh = build_grid(
+        *shape,
+        role_map=lambda ix, iy, layer: "IGBT" if layer == 1 else "copper",
+        refine=[(1, 1, 1)] if refined else [],
+    )
     scheme = SharingScheme(
         node_group=lambda c: "ambient" if c.is_ambient else "cell",
         k_table={("cell", "cell"): 0, ("ambient", "cell"): 1},
@@ -61,8 +63,7 @@ def two_class_scheme():
 
 
 def test_reversed_edges_share_scale_and_class():
-    m = build_grid(3, 3, 2)
-    m = refine_many(m, [m.indices(layer=1)[4]])
+    m = build_grid(3, 3, 2, refine=[(1, 1, 1)])
     ops = build_operators(m, two_class_scheme())
     cells = np.arange(ops.n) != ops.ambient_index
     # Edge t -> h puts -w at (h, t) of its class; its reverse puts -w at (t, h).
@@ -74,22 +75,19 @@ def test_reversed_edges_share_scale_and_class():
 
 
 def random_sourced_mesh(seed):
-    """A refined grid with IGBT and diode sources on layer 1 and some
-    inactive layer-1 cells pruned."""
+    """A grid with IGBT and diode sources on layer 1, some inactive layer-1
+    cells pruned, and a random nonempty subset of the other base cells split."""
     rng = np.random.default_rng(seed)
     nx, ny, nz = int(rng.integers(2, 5)), int(rng.integers(1, 4)), int(rng.integers(2, 4))
     roles = rng.choice(["IGBT", "diode", "copper", "inactive"], size=(nx, ny))
     roles[0, 0], roles[1, 0] = "IGBT", "diode"
-    m = build_grid(
-        nx, ny, nz, max_refinement_level=2,
-        role_map=lambda ix, iy, layer: roles[ix, iy] if layer == 1 else "copper",
-    )
-    m = prune_inactive(m)
-    for _ in range(2):
-        eligible = [c.index for c in m.compartments if not c.is_ambient and c.refinement_level < 2]
-        picked = rng.choice(eligible, size=int(rng.integers(1, len(eligible) + 1)), replace=False)
-        m = refine_many(m, [int(i) for i in picked])
-    return m
+
+    def role_map(ix, iy, layer):
+        return roles[ix, iy] if layer == 1 else "copper"
+
+    base = [(layer, ox // 2, oy // 2) for layer, oy, ox, _, _ in grid_cells(nx, ny, nz, role_map)]
+    picked = [base[int(i)] for i in rng.permutation(len(base))[: int(rng.integers(1, len(base) + 1))]]
+    return build_grid(nx, ny, nz, role_map=role_map, prune=True, refine=picked)
 
 
 def test_regressor_matches_dense_structure_on_random_meshes():
