@@ -110,16 +110,16 @@ def filter_steady(A, B, C, K, x1, P, Y):
 
 
 def smooth_steady(A, B, J, Xf, P):
-    """Steady-gain smoother means: xs[t] = Xf[t] + J (xs[t+1] - A Xf[t] - B P[t])."""
-    A, B, J, Xf, P = map(_c64, (A, B, J, Xf, P))
-    N = Xf.shape[0]
+    """Steady-gain smoother means xs[t] = Xf[t] + J (xs[t+1] - A Xf[t] - B P[t]), written
+    over ``Xf`` and returned if it is C-contiguous float64; other layouts are copied first."""
+    A, B, J, xs, P = map(_c64, (A, B, J, Xf, P))
+    N = xs.shape[0]
     G_x, G_p = (np.eye(A.shape[0]) - J @ A).T, (J @ B).T
-    xs = np.empty_like(Xf)
-    xs[-1] = Xf[-1]
     # Inputs Xf[t] G_x - P[t] G_p, in row chunks so that no N x n temporary
-    # joins Xf and xs in memory.
+    # joins xs in memory; xs[-1] = Xf[-1] stays as it is.
     for i in range(0, N - 1, _INPUT_ROWS):
         rows = slice(i, min(i + _INPUT_ROWS, N - 1))
-        np.matmul(Xf[rows], G_x, out=xs[rows])
-        xs[rows] -= P[rows] @ G_p
+        chunk = xs[rows] @ G_x
+        chunk -= P[rows] @ G_p
+        xs[rows] = chunk
     return affine_scan(J, xs, reverse=True)

@@ -24,14 +24,7 @@ from thermem import __version__
 from thermem import io as tio
 from thermem.config import Experiment, load_config
 from thermem.datagen import NoiseSpec, generate_dataset, toy_inputs
-from thermem.errors import (
-    ConfigurationError,
-    ConvergenceError,
-    IdentifiabilityError,
-    NumericalError,
-    StabilityError,
-    ThermemError,
-)
+from thermem.errors import ConfigurationError, ThermemError
 from thermem.estimation import run_em
 from thermem.graph import build_operators
 from thermem.model import (
@@ -59,14 +52,6 @@ def _experiment(args) -> Experiment:
     return Experiment(cfg)
 
 
-def _dataset_paths(out_dir):
-    return (
-        os.path.join(out_dir, "dataset.csv"),
-        os.path.join(out_dir, "truth.csv"),
-        os.path.join(out_dir, "manifest.json"),
-    )
-
-
 def cmd_generate(args) -> int:
     exp = _experiment(args)
     gen = dict(exp.cfg.get("generate", {}))
@@ -87,7 +72,8 @@ def cmd_generate(args) -> int:
         exp.mesh, scheme, theta_true, noise, N, seed, spec=exp.spec, meas_var=meas_var
     )
 
-    data_path, truth_path, manifest_path = _dataset_paths(exp.out_dir)
+    data_path, truth_path, manifest_path = (
+        os.path.join(exp.out_dir, name) for name in ("dataset.csv", "truth.csv", "manifest.json"))
     tio.write_trajectory_csv(data_path, traj, full_state=False)
     wrote_truth = bool(gen.get("write_truth", True))
     if wrote_truth:
@@ -321,18 +307,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError,) as exc:
+    except ConfigurationError as exc:
         logger.error("configuration error: %s", exc)
         return EXIT_CONFIG
     except ValueError as exc:
         logger.error("invalid argument: %s", exc)
         return EXIT_CONFIG
-    except (StabilityError, ConvergenceError, NumericalError, IdentifiabilityError) as exc:
-        logger.error("numerical failure: %s", exc)
-        return EXIT_NUMERIC
     except (tio.DataFormatError, OSError) as exc:
         logger.error("i/o failure: %s", exc)
         return EXIT_IO
+    except ThermemError as exc:  # stability, convergence, numerical, identifiability
+        logger.error("numerical failure: %s", exc)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

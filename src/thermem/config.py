@@ -17,7 +17,8 @@ describes a custom mesh:
     }
 
 Every "em" key is optional; thermem.estimation.EmConfig supplies the defaults
-shown. theta_init may also be {"k": [...], "z": [...]}. R is the measurement
+shown, and other "em" keys are refused. theta_init may also be
+{"k": [...], "z": [...]}, and theta_true must be one. R is the measurement
 covariance; for a custom mesh, generate also simulates its noise with R.
 
 Custom meshes give per-layer role maps as character rows (top layer is
@@ -44,7 +45,9 @@ refinement/observation lists:
     "theta_true": {"k": [...], "z": [...]}          # needed to generate data
 
 Role characters: I=IGBT, D=diode, R=rectifier, C=copper, S=substrate,
-B=baseplate, .=inactive (no compartment). Other mesh keys are refused.
+B=baseplate, .=inactive (no compartment). Other mesh keys are refused, as
+are an observe role outside thermem.mesh.VALID_ROLES and a group rule
+without a label.
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ from thermem.estimation import (
     EmConfig,
 )
 from thermem.graph import SharingScheme
-from thermem.mesh import CompartmentMesh, build_grid
+from thermem.mesh import VALID_ROLES, CompartmentMesh, build_grid
 from thermem.model import ThetaParams
 
 ROLE_CHARS = {
@@ -84,6 +87,7 @@ ROLE_CHARS = {
 MESH_KEYS = ("nx", "ny", "nz", "layers", "refine", "observe", "source_roles")
 
 _EM_NUMBERS = {"max_iter": int, "theta_tol": float, "q_init": float, "dtau": float}
+EM_KEYS = ("max_iter", "theta_tol", "theta_init", "q_init", "R", "dtau")
 
 CONSTRAINT_ALIASES = {
     "qI": SCALAR_IDENTITY,
@@ -169,6 +173,10 @@ def _resolve_observed(mesh, entries):
             observed.append(mesh.ambient_index)
         elif isinstance(entry, dict):
             role = entry.get("role")
+            if role is not None and role not in VALID_ROLES:
+                raise ConfigurationError(
+                    f"unknown observe role {role!r}; expected one of {sorted(VALID_ROLES)}"
+                )
             first = entry.get("first")
             idx = mesh.indices(role=role, layer=entry.get("layer"))
             if first is not None:
@@ -185,6 +193,9 @@ def scheme_from_config(spec: dict, name: str = "") -> SharingScheme:
     rules = spec.get("groups", [])
     if not rules:
         raise ConfigurationError(f"scheme {name!r} defines no groups")
+    for rule in rules:
+        if "label" not in rule:
+            raise ConfigurationError(f"scheme {name!r}: group rule {rule} has no 'label'")
 
     def node_group(c):
         for rule in rules:
@@ -210,6 +221,13 @@ def scheme_from_config(spec: dict, name: str = "") -> SharingScheme:
         k_names=tuple(spec.get("k_names", ())),
         z_names=tuple(spec.get("z_names", ())),
     )
+
+
+def _theta_params(table: dict, where: str, dtau: float) -> ThetaParams:
+    for key in ("k", "z"):
+        if key not in table:
+            raise ConfigurationError(f"{where} has no {key!r} list")
+    return ThetaParams(k=table["k"], z=table["z"], dtau=dtau)
 
 
 class Experiment:
@@ -238,10 +256,13 @@ class Experiment:
 
         for sname, sspec in cfg.get("schemes", {}).items():
             self.schemes[sname] = scheme_from_config(sspec, name=sname)
+        em = cfg.get("em", {})
+        unknown = sorted(set(em) - set(EM_KEYS))
+        if unknown:
+            raise ConfigurationError(f"unknown em keys {unknown}; expected some of {list(EM_KEYS)}")
         if "theta_true" in cfg:
-            tt = cfg["theta_true"]
-            theta = ThetaParams(
-                k=tt["k"], z=tt["z"], dtau=float(cfg.get("em", {}).get("dtau", EmConfig.dtau))
+            theta = _theta_params(
+                cfg["theta_true"], "theta_true", float(em.get("dtau", EmConfig.dtau))
             )
             for sname in self.schemes:
                 self.theta_true.setdefault(sname, theta)
@@ -259,7 +280,7 @@ class Experiment:
         return self.schemes[self.scheme_name]
 
     def em_config(self, R_override=None) -> EmConfig:
-        """EmConfig from the em keys the config sets; unknown keys are ignored."""
+        """EmConfig from the em keys the config sets."""
         em = dict(self.cfg.get("em", {}))
         if R_override is not None:
             em["R"] = R_override
@@ -267,5 +288,5 @@ class Experiment:
         kwargs.update((key, cast(em[key])) for key, cast in _EM_NUMBERS.items() if key in em)
         cfg = EmConfig(**kwargs)
         if isinstance(cfg.theta_init, dict):
-            cfg.theta_init = ThetaParams(k=cfg.theta_init["k"], z=cfg.theta_init["z"], dtau=cfg.dtau)
+            cfg.theta_init = _theta_params(cfg.theta_init, "em.theta_init", cfg.dtau)
         return cfg

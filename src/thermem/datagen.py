@@ -22,7 +22,7 @@ dominate every long prediction, which the modeled module does not exhibit).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -67,9 +67,6 @@ STRONG_OF_WEAK = (0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 4)
 STRONG_CLASS_NAMES = ("k1", "k2", "k3", "k4", "k5")
 STRONG_K_TRUE = np.array([0.025, 0.029, 0.053, 0.055, 0.020])
 
-Z_TRUE = 0.05  # temperature rise per unit source power per step (all volume
-               # and capacity factors folded in; only z*P is identifiable)
-
 
 @dataclass(frozen=True)
 class ToySpec:
@@ -97,14 +94,16 @@ class ToySpec:
     n_observed_igbt: int = 40
     sensor_cell: tuple = (8, 5)  # bottom-layer temperature sensor
     expected_layer_counts: tuple = (117, 359, 170, 170)
-    z_true: float = Z_TRUE
-    dtau: float = 1.0
-    ambient_temp: float = 25.0
-    pulse_amp: float = 3.0
     pulse_periods: tuple = (1500, 2100, 2700)
     pulse_phases: tuple = (0, 400, 800)
-    pulse_duty: float = 0.5
-    meas_var: float = 1e-6
+    # Shared by both presets. z is the temperature rise per unit source power
+    # per step (volume and capacity folded in; only z*P is identifiable).
+    z_true: ClassVar[float] = 0.05
+    dtau: ClassVar[float] = 1.0
+    ambient_temp: ClassVar[float] = 25.0
+    pulse_amp: ClassVar[float] = 3.0
+    pulse_duty: ClassVar[float] = 0.5
+    meas_var: ClassVar[float] = 1e-6
 
     @staticmethod
     def full() -> "ToySpec":
@@ -248,11 +247,11 @@ def source_clusters(spec: ToySpec, mesh: CompartmentMesh) -> np.ndarray:
     return np.argmin(np.abs(mids[:, None] - centers), axis=1).astype(np.int64)
 
 
-def _square_waves(N: int, periods, phases, amp: float, duty: float) -> np.ndarray:
-    """Column p is ``amp`` in the first ``duty`` share of each phase-shifted period, else 0."""
+def _square_waves(N: int, periods, phases) -> np.ndarray:
+    """Column p is pulse_amp in the first pulse_duty share of each phase-shifted period, else 0."""
     periods = np.asarray(periods)
-    on = ((np.arange(N)[:, None] + phases) % periods) < duty * periods
-    return np.where(on, amp, 0.0)
+    on = ((np.arange(N)[:, None] + phases) % periods) < ToySpec.pulse_duty * periods
+    return np.where(on, ToySpec.pulse_amp, 0.0)
 
 
 def toy_inputs(spec: ToySpec, mesh: CompartmentMesh, N: int) -> np.ndarray:
@@ -260,7 +259,7 @@ def toy_inputs(spec: ToySpec, mesh: CompartmentMesh, N: int) -> np.ndarray:
     clusters = source_clusters(spec, mesh)
     periods = np.asarray(spec.pulse_periods)[clusters % len(spec.pulse_periods)]
     phases = np.asarray(spec.pulse_phases)[clusters % len(spec.pulse_phases)]
-    return _square_waves(N, periods, phases, spec.pulse_amp, spec.pulse_duty)
+    return _square_waves(N, periods, phases)
 
 
 NOISE_KINDS = ("none", "q_iso", "AAt")
@@ -319,7 +318,7 @@ def default_inputs(N: int, n_P: int) -> np.ndarray:
     and no two channels share period and phase.
     """
     p = np.arange(n_P)
-    return _square_waves(N, max(8, N // 6) + 13 * p, 7 * p, ToySpec.pulse_amp, ToySpec.pulse_duty)
+    return _square_waves(N, max(8, N // 6) + 13 * p, 7 * p)
 
 
 def generate_dataset(
@@ -337,19 +336,15 @@ def generate_dataset(
     """Simulate an identification dataset; returns (Trajectory, model).
 
     Inputs come from ``P``, from the toy pulse profile when ``spec`` is
-    given, or from distinct per-source square waves otherwise. A ``spec``
-    also sets the ambient start temperature and overrides ``meas_var``.
-    Observations follow the mesh's observed tags; measurement noise is zero
-    for noiseless generation.
+    given, or from distinct per-source square waves otherwise. The record
+    starts at the ambient temperature. Observations follow the mesh's
+    observed tags; measurement noise has variance ``meas_var``, or zero for
+    noiseless generation.
     """
     if N < 2:
         raise ValueError("dataset needs N >= 2")
     ops = ops or build_operators(mesh, scheme)
     observed = [c.index for c in mesh.compartments if c.observed]
-    ambient_temp = ToySpec.ambient_temp
-    if spec is not None:
-        ambient_temp = spec.ambient_temp
-        meas_var = spec.meas_var
     if P is None:
         P = toy_inputs(spec, mesh, N) if spec is not None else default_inputs(N, ops.n_P)
     P = np.asarray(P, dtype=np.float64)
@@ -358,6 +353,6 @@ def generate_dataset(
 
     model = assemble(ops, theta_true, observed, R=0.0 if noise.noiseless else meas_var)
     model = replace(model, Q=process_covariance(noise, model.A, mesh.ambient_index))
-    T_1 = np.full(ops.n, ambient_temp)
+    T_1 = np.full(ops.n, ToySpec.ambient_temp)
     traj = simulate(model, T_1, P, seed=seed, noiseless=noise.noiseless)
     return traj, model

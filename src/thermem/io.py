@@ -229,6 +229,9 @@ def write_theta_json(path, theta, theta_names=()):
 
 def read_theta_json(path):
     payload = read_manifest(path)
+    for key in ("k", "z"):
+        if key not in payload:
+            raise DataFormatError(f"{path}: theta has no {key!r} key")
     return ThetaParams(k=payload["k"], z=payload["z"], dtau=payload.get("dtau", 1.0))
 
 

@@ -3,7 +3,8 @@
 Every covariance of the textbook two-pass recursion is replaced by its
 stationary limit: the predicted covariance comes from the DARE, the smoothed
 covariance from a discrete Lyapunov equation, and both passes then propagate
-means only, so memory is O(n^2) regardless of the record length.
+means only. The smoothed means overwrite the filtered ones, so memory is one
+N x n array of means plus O(n^2).
 
 The smoother takes the initial state as known (x_1 = T_1) and uses the
 steady filtered covariance as the initial covariance, so the forward pass is
@@ -33,11 +34,9 @@ class SmootherOutput:
     """Steady-smoother result: means plus the stationary covariance set."""
 
     x_smooth: np.ndarray
-    x_filt: np.ndarray
     V_S_minus: np.ndarray
     V_S_plus: np.ndarray
     V_S_N: np.ndarray
-    K_S: np.ndarray
     J_S: np.ndarray
     loglik: float
 
@@ -90,20 +89,20 @@ def _loglik_from_innovations(innov: np.ndarray, S: np.ndarray) -> float:
 
 
 def rtss_steady(model: StateSpaceModel, Y, P, T_1, V0=None) -> SmootherOutput:
-    """Two-pass smoother with stationary gains K_S and J_S; ``V0`` warm-starts the DARE."""
+    """Two-pass smoother with stationary gains K and J_S; ``V0`` warm-starts the DARE."""
     Y, P_dyn, T_1, N = _check_inputs(model, Y, P, T_1)
     A, C, Q, R = model.A, model.C, model.Q, model.R
 
     V_minus = solve_dare(DareProblem(A=A, C=C, Q=Q, R=R), V0=V0)
     S = C @ V_minus @ C.T + R
     try:
-        K_S = np.linalg.solve(S.T, (V_minus @ C.T).T).T
+        K = np.linalg.solve(S.T, (V_minus @ C.T).T).T
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"singular innovation covariance: {exc}") from exc
-    V_plus = (V_minus + V_minus.T) / 2 - K_S @ (C @ V_minus)
+    V_plus = V_minus - K @ (C @ V_minus)
     V_plus = (V_plus + V_plus.T) / 2
 
-    x_filt, innov = _kernels.filter_steady(A, model.B, C, K_S, T_1, P_dyn, Y)
+    xf, innov = _kernels.filter_steady(A, model.B, C, K, T_1, P_dyn, Y)
 
     try:
         J_S = np.linalg.solve(V_minus, A @ V_plus).T
@@ -112,18 +111,13 @@ def rtss_steady(model: StateSpaceModel, Y, P, T_1, V0=None) -> SmootherOutput:
     W = V_plus - J_S @ V_minus @ J_S.T
     V_S_N = solve_dlyap(J_S, W)
 
-    x_smooth = _kernels.smooth_steady(A, model.B, J_S, x_filt, P_dyn)
-    loglik = _loglik_from_innovations(innov, S)
-
     return SmootherOutput(
-        x_smooth=x_smooth,
-        x_filt=x_filt,
+        x_smooth=_kernels.smooth_steady(A, model.B, J_S, xf, P_dyn),
         V_S_minus=V_minus,
         V_S_plus=V_plus,
         V_S_N=V_S_N,
-        K_S=K_S,
         J_S=J_S,
-        loglik=loglik,
+        loglik=_loglik_from_innovations(innov, S),
     )
 
 

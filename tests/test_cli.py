@@ -267,6 +267,51 @@ def test_unknown_mesh_key_exits_2(tmp_path, caplog, key):
     assert f"unknown mesh keys ['{key}']" in caplog.text
 
 
+@pytest.mark.parametrize(
+    "case, code, message",
+    [("theta.json without k", 4, "theta has no 'k' key"),
+     ("theta_init without k", 2, "em.theta_init has no 'k' list"),
+     ("theta_true without z", 2, "theta_true has no 'z' list"),
+     ("group without label", 2, "scheme 'small': group rule {'layer': 2} has no 'label'")],
+    ids=["theta-json-k", "theta-init-k", "theta-true-z", "group-label"],
+)
+def test_malformed_json_inputs_exit_with_their_code(tmp_path, caplog, case, code, message):
+    cfg = json.loads(json.dumps(SMALL_CONFIG))
+    argv = ["generate"]
+    if case == "theta.json without k":
+        theta_path = tmp_path / "theta.json"
+        theta_path.write_text(json.dumps({"z": [0.4], "dtau": 1.0}))
+        argv = ["predict", "--theta", str(theta_path)]
+        message = f"{theta_path}: {message}"
+    elif case == "theta_init without k":
+        cfg["em"]["theta_init"] = {"z": [0.5]}
+    elif case == "theta_true without z":
+        del cfg["theta_true"]["z"]
+    else:
+        del cfg["schemes"]["small"]["groups"][2]["label"]
+    cfg_path, out_dir = write_config(tmp_path, {key: cfg[key] for key in ("em", "theta_true", "schemes")})
+    assert main([*argv, "--config", cfg_path]) == code
+    assert message in caplog.text
+    assert not os.path.exists(os.path.join(out_dir, "manifest.json"))
+
+
+@pytest.mark.parametrize(
+    "command, key, value, message",
+    [("identify", "em", {"maxiter": 3},
+      "unknown em keys ['maxiter']; expected some of "
+      "['max_iter', 'theta_tol', 'theta_init', 'q_init', 'R', 'dtau']"),
+     ("generate", "observe", [{"role": "IGTB"}, "ambient"], "unknown observe role 'IGTB'")],
+    ids=["em-key", "observe-role"],
+)
+def test_config_entries_that_would_be_ignored_exit_2(tmp_path, caplog, command, key, value, message):
+    cfg = json.loads(json.dumps(SMALL_CONFIG))
+    (cfg["mesh"] if key == "observe" else cfg)[key] = value
+    cfg_path, out_dir = write_config(tmp_path, {"mesh": cfg["mesh"], "em": cfg["em"]})
+    assert main([command, "--config", cfg_path]) == 2
+    assert message in caplog.text
+    assert not os.path.exists(os.path.join(out_dir, "dataset.csv"))
+
+
 def test_identify_abort_leaves_partial_trace_and_exits_3(tmp_path, monkeypatch):
     """A failing E-step after two recorded rows: exit 3, the rows on disk,
     and an error that carries the aborted trace."""

@@ -1,5 +1,7 @@
 """Synthetic module construction and dataset generation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from _oracles import grid_cells
@@ -181,12 +183,6 @@ def test_rise_exceeds_ten_degrees():
 def test_bad_layer_population_raises():
     from thermem.errors import ConfigurationError
 
-    spec = ToySpec.reduced()
-    bad = ToySpec(
-        **{
-            **{f.name: getattr(spec, f.name) for f in spec.__dataclass_fields__.values()},
-            "expected_layer_counts": (1, 2, 3, 4),
-        }
-    )
+    bad = dataclasses.replace(ToySpec.reduced(), expected_layer_counts=(1, 2, 3, 4))
     with pytest.raises(ConfigurationError):
         build_toy(bad)

@@ -92,8 +92,23 @@ def test_filter_and_smoother_match_loops(system, N):
     xf_ref, innov_ref = filter_loop(s["A"], s["B"], s["C"], s["K"], s["x1"], P, Y)
     assert rel_err(xf, xf_ref) <= RTOL
     assert rel_err(innov, innov_ref) <= RTOL
-    xs = K.smooth_steady(s["A"], s["B"], s["J"], xf_ref, P)
+    xs = K.smooth_steady(s["A"], s["B"], s["J"], xf_ref.copy(), P)
     assert rel_err(xs, smooth_loop(s["A"], s["B"], s["J"], xf_ref, P)) <= RTOL
+
+
+def test_smooth_steady_overwrites_only_c_contiguous_float64_means():
+    s = make_system("stable")
+    P, Y, _ = inputs(s, 300)
+    xf = filter_loop(s["A"], s["B"], s["C"], s["K"], s["x1"], P, Y)[0]
+    ref = smooth_loop(s["A"], s["B"], s["J"], xf, P)
+    Xf = xf.copy()
+    assert K.smooth_steady(s["A"], s["B"], s["J"], Xf, P) is Xf
+    assert rel_err(Xf, ref) <= RTOL
+    Xf_f = np.asfortranarray(xf)
+    xs = K.smooth_steady(s["A"], s["B"], s["J"], Xf_f, P)
+    assert xs is not Xf_f
+    np.testing.assert_array_equal(Xf_f, xf)
+    np.testing.assert_array_equal(xs, Xf)
 
 
 def test_wrappers_accept_noncontiguous_inputs():

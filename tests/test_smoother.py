@@ -1,5 +1,7 @@
 """Full and steady-state RTS smoothing plus sufficient statistics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,12 @@ def random_stable_model(rng, n=5, n_y=2, n_P=1, rho=0.9, q=1e-3, r=1e-4):
     C = np.zeros((n_y, n))
     C[np.arange(n_y), rng.permutation(n)[:n_y]] = 1.0
     return make_model(A, B, C, q * np.eye(n), r * np.eye(n_y))
+
+
+def steady_gain(out, model):
+    """K = V^- C' (C V^- C' + R)^{-1} from the smoother's predicted covariance."""
+    V, C = out.V_S_minus, model.C
+    return np.linalg.solve(C @ V @ C.T + model.R, C @ V).T
 
 
 def test_full_smoother_recovers_noiseless_truth():
@@ -88,7 +96,7 @@ def test_steady_scalar_gain_matches_dare():
     v_minus = solve_dare(
         DareProblem(A=np.eye(1), C=np.eye(1), Q=model.Q, R=model.R)
     )[0, 0]
-    assert out.K_S[0, 0] == pytest.approx(v_minus / (v_minus + sigma2), abs=1e-10)
+    assert steady_gain(out, model)[0, 0] == pytest.approx(v_minus / (v_minus + sigma2), abs=1e-10)
 
 
 def test_steady_covariance_identities():
@@ -98,21 +106,39 @@ def test_steady_covariance_identities():
     traj = simulate(model, rng.normal(size=6), P, seed=5)
     out = rtss_steady(model, traj.y, traj.P, traj.T[0])
     np.testing.assert_allclose(
-        out.V_S_plus, (np.eye(6) - out.K_S @ model.C) @ out.V_S_minus, atol=1e-10
+        out.V_S_plus, (np.eye(6) - steady_gain(out, model) @ model.C) @ out.V_S_minus, atol=1e-10
     )
     for V in (out.V_S_minus, out.V_S_plus, out.V_S_N):
         np.testing.assert_allclose(V, V.T, atol=1e-10)
         assert np.linalg.eigvalsh(V).min() > -1e-10
 
 
+def test_steady_smoother_holds_one_record_length_array_of_means():
+    # The smoothed means overwrite the filtered ones: the peak allocation of
+    # one call stays well below two N x n float64 arrays.
+    rng = np.random.default_rng(3)
+    n, N = 40, 20000
+    model = random_stable_model(rng, n=n, n_y=2)
+    Y = rng.normal(size=(N, 2))
+    P = rng.uniform(0, 1, (N, 1))
+    T_1 = np.zeros(n)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        out = rtss_steady(model, Y, P, T_1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.x_smooth.shape == (N, n)
+    assert peak <= 1.5 * N * n * 8
+
+
 def test_accumulate_stats_single_term_hand_values():
     out = SmootherOutput(
         x_smooth=np.array([[1.0], [2.0]]),
-        x_filt=np.array([[1.0], [2.0]]),
         V_S_minus=np.zeros((1, 1)),
         V_S_plus=np.zeros((1, 1)),
         V_S_N=np.zeros((1, 1)),
-        K_S=np.zeros((1, 1)),
         J_S=np.zeros((1, 1)),
         loglik=0.0,
     )
@@ -132,11 +158,9 @@ def test_accumulate_stats_reduces_to_mean_outer_products():
     P = rng.normal(size=(N, n_P))
     out = SmootherOutput(
         x_smooth=x,
-        x_filt=x,
         V_S_minus=np.zeros((n, n)),
         V_S_plus=np.zeros((n, n)),
         V_S_N=np.zeros((n, n)),
-        K_S=np.zeros((n, 1)),
         J_S=np.zeros((n, n)),
         loglik=0.0,
     )
@@ -191,11 +215,9 @@ def test_full_stats_boundary_relation():
 def test_stats_require_two_steps():
     out = SmootherOutput(
         x_smooth=np.zeros((1, 2)),
-        x_filt=np.zeros((1, 2)),
         V_S_minus=np.zeros((2, 2)),
         V_S_plus=np.zeros((2, 2)),
         V_S_N=np.zeros((2, 2)),
-        K_S=np.zeros((2, 1)),
         J_S=np.zeros((2, 2)),
         loglik=0.0,
     )
