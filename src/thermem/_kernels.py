@@ -7,12 +7,15 @@ backwards, x[t] = F x[t+1] + u[t]. The callers compute the inputs of every
 step with one matrix product before the scan.
 
 The scan is blocked in time (the block form of a linear prefix scan). With
-M = N-1 steps and block length L = ceil(sqrt(M)):
+M = N-1 steps and the block length L the power of two nearest sqrt(M)
+(in ratio):
 
 1. local responses: the response of every block to its own inputs from a
    zero start, as L-1 lock-step products (blocks x n)(n x n) over strided
    views of X;
-2. carry: the block-start states in turn, x[(b+1)L] += F^L x[bL];
+2. carry: the block-start states in turn, x[(b+1)L] += F^L x[bL], with a
+   dense F^L that takes log2(L) squarings (6 products at M=5999, not the 9
+   of L = ceil(sqrt(M)) = 78);
 3. fix-up: F^j x[bL] added to position j of every block, again as L-1
    lock-step products.
 
@@ -20,6 +23,14 @@ The last block may be short; it simply drops out of the lock-step products
 at the positions it does not have. The recursion thus costs about 2L
 matrix-matrix products instead of M matrix-vector products, and agrees with
 the per-step loop to rounding.
+
+F may be dense or a scipy.sparse matrix; a sparse F runs the lock-step
+products of phases 1 and 3 through its nonzeros. The rollout passes A as
+CSR: the mesh makes it a graph operator with about 7 nonzeros per row, and
+a 6000-step rollout at n=817 takes 0.13 s instead of 0.27 s (2 vCPUs, 2
+OpenBLAS threads). The filter's (I - K C) A and the smoother's J are dense.
+A sparse A plus a rank-n_y term for the filter ran 168 against 276 ms at
+n=817 but 17.1 against 15.4 ms at n=178, so they keep the dense products.
 """
 
 from __future__ import annotations
@@ -27,6 +38,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
 # Rows per chunk of the smoother's input products.
 _INPUT_ROWS = 1024
@@ -41,12 +53,12 @@ def affine_scan(F, X, reverse=False):
     M = X.shape[0] - 1
     if M < 1:
         return X
-    L = math.isqrt(M - 1) + 1  # ceil(sqrt(M))
-    FT = F.T
+    L = 1 << round(math.log2(M) / 2)  # the power of two nearest sqrt(M) in ratio
+    FT = F.T  # for a sparse F, lane @ FT runs as F @ lane.T
 
     # Rows at position j of every block that has one, ordered by row index:
     # block order when running forward, reversed block order backwards.
-    # Every view has a positive row stride, so the products go to BLAS.
+    # Every view has a positive row stride, so dense products go to BLAS.
     if reverse:
         def lane(j):
             return X[(M - j) % L : M - j + 1 : L]
@@ -67,7 +79,7 @@ def affine_scan(F, X, reverse=False):
     # 2. Carry across the block starts.
     starts = lane(0)
     chain = starts[::-1] if reverse else starts
-    FLT = np.linalg.matrix_power(F, L).T
+    FLT = np.linalg.matrix_power(F.toarray() if sp.issparse(F) else F, L).T
     for b in range(1, chain.shape[0]):
         chain[b] += chain[b - 1] @ FLT
     # 3. Fix-up: position j of block b gains F^j x[bL].
@@ -88,7 +100,7 @@ def rollout(A, B, T1, P, W=None):
     if W is not None:
         T[1:] += W
     with np.errstate(over="ignore", invalid="ignore"):  # the caller checks for inf/NaN
-        return affine_scan(_c64(A), T)
+        return affine_scan(sp.csr_array(_c64(A)), T)
 
 
 def filter_steady(A, B, C, K, x1, P, Y):

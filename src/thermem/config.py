@@ -46,8 +46,8 @@ refinement/observation lists:
 
 Role characters: I=IGBT, D=diode, R=rectifier, C=copper, S=substrate,
 B=baseplate, .=inactive (no compartment). Other mesh keys are refused, as
-are an observe role outside thermem.mesh.VALID_ROLES and a group rule
-without a label.
+are an observe role outside thermem.mesh.VALID_ROLES, an observe entry that
+selects no compartment and a group rule without a label.
 """
 
 from __future__ import annotations
@@ -181,6 +181,8 @@ def _resolve_observed(mesh, entries):
             idx = mesh.indices(role=role, layer=entry.get("layer"))
             if first is not None:
                 idx = idx[: int(first)]
+            if not idx:
+                raise ConfigurationError(f"observe entry {entry} selects no compartment")
             observed.extend(idx)
         else:
             layer, ix, iy = entry

@@ -300,8 +300,11 @@ def test_malformed_json_inputs_exit_with_their_code(tmp_path, caplog, case, code
     [("identify", "em", {"maxiter": 3},
       "unknown em keys ['maxiter']; expected some of "
       "['max_iter', 'theta_tol', 'theta_init', 'q_init', 'R', 'dtau']"),
-     ("generate", "observe", [{"role": "IGTB"}, "ambient"], "unknown observe role 'IGTB'")],
-    ids=["em-key", "observe-role"],
+     ("generate", "observe", [{"role": "IGTB"}, "ambient"], "unknown observe role 'IGTB'"),
+     ("generate", "observe", [{"layer": 7}, "ambient"], "observe entry {'layer': 7} selects no compartment"),
+     ("generate", "observe", [{"role": "inactive"}, "ambient"],
+      "observe entry {'role': 'inactive'} selects no compartment")],
+    ids=["em-key", "observe-role", "observe-no-layer-match", "observe-no-role-match"],
 )
 def test_config_entries_that_would_be_ignored_exit_2(tmp_path, caplog, command, key, value, message):
     cfg = json.loads(json.dumps(SMALL_CONFIG))

@@ -3,16 +3,22 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from _oracles import affine_loop, filter_loop, rollout_loop, smooth_loop
 from thermem import _kernels as K
+from thermem.datagen import ToySpec, build_toy, strong_theta, toy_inputs
 from thermem.errors import DivergenceError
-from thermem.model import StateSpaceModel, simulate
+from thermem.graph import build_operators
+from thermem.model import StateSpaceModel, assemble, predict, simulate
 
 # Record lengths: the shortest ones, the three around a whole number of
-# 7-step blocks (48, 49 and 50 steps) and a full identification record.
-LENGTHS = (2, 3, 49, 50, 51, 5000)
+# 8-step blocks (47, 48 and 49 steps), one more step, and a full
+# identification record.
+LENGTHS = (2, 3, 48, 49, 50, 51, 5000)
 RTOL = 1e-12
+# The scan's F as the filter and smoother pass it, and as the rollout does.
+LAYOUTS = {"dense": np.asarray, "csr": sp.csr_array}
 
 
 def rel_err(out, ref):
@@ -70,9 +76,10 @@ def inputs(system, N):
 def test_affine_scan_matches_loop(system, N, reverse):
     X = system["rng"].normal(size=(N, system["A"].shape[0]))
     ref = affine_loop(system["A"], X, reverse)
-    out = X.copy()
-    assert K.affine_scan(system["A"], out, reverse) is out
-    assert rel_err(out, ref) <= RTOL
+    for layout, as_layout in LAYOUTS.items():
+        out = X.copy()
+        assert K.affine_scan(as_layout(system["A"]), out, reverse) is out
+        assert rel_err(out, ref) <= RTOL, layout
 
 
 @pytest.mark.parametrize("N", LENGTHS)
@@ -134,10 +141,13 @@ def test_wrappers_accept_noncontiguous_inputs():
 
 def test_scan_on_strided_view_matches_loop(system):
     F = system["A"]
-    base = system["rng"].normal(size=(2 * 300, F.shape[0]))
-    ref = affine_loop(F, base[::2], reverse=True)
-    K.affine_scan(F, base[::2], reverse=True)
-    assert rel_err(base[::2], ref) <= RTOL
+    for reverse in (False, True):
+        for layout, as_layout in LAYOUTS.items():
+            base = system["rng"].normal(size=(2 * 300, F.shape[0]))
+            ref, skipped = affine_loop(F, base[::2], reverse), base[1::2].copy()
+            K.affine_scan(as_layout(F), base[::2], reverse)
+            assert rel_err(base[::2], ref) <= RTOL, (layout, reverse)
+            np.testing.assert_array_equal(base[1::2], skipped)
 
 
 def test_simulate_unstable_model_diverges_at_loop_step():
@@ -154,3 +164,16 @@ def test_simulate_unstable_model_diverges_at_loop_step():
             simulate(model, T1, P, noiseless=True)
     assert first_bad > 0
     assert err.value.step == first_bad
+
+
+def test_full_module_prediction_matches_loop():
+    """The sparse rollout of the 817-compartment module against the dense loop."""
+    spec = ToySpec.full()
+    mesh, _, strong = build_toy(spec)
+    observed = [c.index for c in mesh.compartments if c.observed]
+    model = assemble(build_operators(mesh, strong), strong_theta(spec), observed, R=0.0)
+    P = toy_inputs(spec, mesh, 2000)
+    T1 = np.full(model.n, ToySpec.ambient_temp)
+    T = predict(model, T1, P).T
+    assert T.shape == (2000, 817)
+    assert rel_err(T, rollout_loop(model.A, model.B, T1, P[:-1])) <= RTOL
