@@ -52,6 +52,7 @@ CONSTRAINT_KINDS = (SCALAR_IDENTITY, DIAGONAL, ALPHA_LL_BETA_I)
 
 PARAM_FLOOR = 1e-12
 COND_LIMIT = 1e12  # largest accepted condition number of the M-step normal matrix
+_ROW_BLOCK = 16  # rows of a dense Q^{-1} per product in the M-step
 
 
 class _Throttle:
@@ -143,12 +144,22 @@ def _quadratic_terms(stats: SmootherStats, ops: GraphOperators, Q_inv, dtau):
     p, n = ops.n_theta, ops.n
     rr, dr = _moments(stats, dtau)
     qdiag = _diag_or_none(Q_inv)
+    if qdiag is None:
+        # (Q^{-1} X)[row, col] only, block by block of _ROW_BLOCK rows: those
+        # rows of Q^{-1} times the columns of X that their nonzeros use.
+        blocks = []
+        for start in range(0, n, _ROW_BLOCK):
+            at = np.flatnonzero((ops.row >= start) & (ops.row < start + _ROW_BLOCK))
+            cols, col_at = np.unique(ops.col[at], return_inverse=True)
+            blocks.append((Q_inv[start : start + _ROW_BLOCK], at, cols, ops.row[at] - start, col_at))
 
     def traces(X):
         """tr(G_i' Q^{-1} X) for every i, for an n x (n + n_P) matrix X."""
         if qdiag is None:
-            X = Q_inv @ X
-            return np.bincount(ops.param, weights=ops.val * X[ops.row, ops.col], minlength=p)
+            QX, XT = np.empty(ops.row.size), np.ascontiguousarray(X.T)
+            for Q_rows, at, cols, r, c in blocks:
+                QX[at] = (Q_rows @ XT[cols].T)[r, c]
+            return np.bincount(ops.param, weights=ops.val * QX, minlength=p)
         by_row = np.bincount(ops.param * n + ops.row, weights=ops.val * X[ops.row, ops.col],
                              minlength=p * n)
         return by_row.reshape(p, n) @ qdiag

@@ -6,6 +6,17 @@ covariance from a discrete Lyapunov equation, and both passes then propagate
 means only. The smoothed means overwrite the filtered ones, so memory is one
 N x n array of means plus O(n^2).
 
+The mean passes take one of two forms, by the operator-size rule
+``_kernels.sequential``. Below its size, the filter scans the dense
+(I - K C) A and the smoother the RTS form with the dense gain J_S, both by
+the blocked scan. From it on (the 817-compartment module), the filter steps
+the sparse A plus the rank-n_y gain term and the smoother runs the modified
+Bryson-Frazier adjoint recursion on the same operator transposed, fed by the
+innovations S^-1 e[t] that the log-likelihood forms anyway; J_S then serves
+only the Lyapunov equation and the lagged statistic XZ. The two forms agree
+to rounding (see ``thermem._kernels`` for the recursions and the measured
+crossover).
+
 The smoother takes the initial state as known (x_1 = T_1) and uses the
 steady filtered covariance as the initial covariance, so the forward pass is
 the exact time-varying Kalman filter and the innovation log-likelihood it
@@ -76,16 +87,18 @@ def _check_inputs(model: StateSpaceModel, Y, P, T_1):
     return Y, P[: N - 1], T_1, N
 
 
-def _loglik_from_innovations(innov: np.ndarray, S: np.ndarray) -> float:
+def _innovation_terms(innov: np.ndarray, S: np.ndarray):
+    """The innovation log-likelihood and the rows S^-1 e[t]."""
     try:
         cho = sla.cho_factor(S, lower=True)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"innovation covariance not SPD: {exc}") from exc
     n_y = S.shape[0]
     S_inv = sla.cho_solve(cho, np.eye(n_y))
-    quad = float(np.sum((innov @ S_inv) * innov))
+    SinvE = innov @ S_inv
+    quad = float(np.sum(SinvE * innov))
     logdet = 2.0 * float(np.sum(np.log(np.diag(cho[0]))))
-    return -0.5 * (quad + innov.shape[0] * (logdet + n_y * np.log(2.0 * np.pi)))
+    return -0.5 * (quad + innov.shape[0] * (logdet + n_y * np.log(2.0 * np.pi))), SinvE
 
 
 def rtss_steady(model: StateSpaceModel, Y, P, T_1, V0=None) -> SmootherOutput:
@@ -103,6 +116,8 @@ def rtss_steady(model: StateSpaceModel, Y, P, T_1, V0=None) -> SmootherOutput:
     V_plus = (V_plus + V_plus.T) / 2
 
     xf, innov = _kernels.filter_steady(A, model.B, C, K, T_1, P_dyn, Y)
+    loglik, SinvE = _innovation_terms(innov, S)
+    del innov  # SinvE takes its place: one (N-1) x n_y array stays
 
     try:
         J_S = np.linalg.solve(V_minus, A @ V_plus).T
@@ -112,12 +127,12 @@ def rtss_steady(model: StateSpaceModel, Y, P, T_1, V0=None) -> SmootherOutput:
     V_S_N = solve_dlyap(J_S, W)
 
     return SmootherOutput(
-        x_smooth=_kernels.smooth_steady(A, model.B, J_S, xf, P_dyn),
+        x_smooth=_kernels.smooth_steady(A, model.B, J_S, xf, P_dyn, C, K, SinvE, V_minus),
         V_S_minus=V_minus,
         V_S_plus=V_plus,
         V_S_N=V_S_N,
         J_S=J_S,
-        loglik=_loglik_from_innovations(innov, S),
+        loglik=loglik,
     )
 
 

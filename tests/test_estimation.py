@@ -26,6 +26,7 @@ from thermem.estimation import (
     update_Q_full,
     update_theta,
 )
+from thermem.datagen import ToySpec, build_toy
 from thermem.graph import SharingScheme, build_operators
 from thermem.mesh import build_grid
 from thermem.model import ThetaParams, assemble, simulate
@@ -607,3 +608,30 @@ def test_run_em_floor_warnings_rate_limited(caplog):
     levels = [r.levelno for r in floors]
     assert levels[:5] == [logging.WARNING] * 5 and set(levels[5:]) == {logging.DEBUG}
     assert "further ones logged at DEBUG" in floors[4].getMessage()
+
+
+def test_dense_q_terms_match_dense_products_on_full_module():
+    """With a dense Q^{-1} (alpha LL' + beta I) the normal matrix and the
+    right-hand side read Q^{-1} X only at G's nonzeros; at n=817 they agree
+    with the traces of the full products."""
+    mesh, _, strong = build_toy(ToySpec.full())
+    ops = build_operators(mesh, strong)
+    rng = np.random.default_rng(2)
+    N = 60
+    x = rng.normal(25.0, 1.0, (N, ops.n))
+    P = rng.uniform(0.0, 1.0, (N - 1, ops.n_P))
+    X, Z = x[:-1], x[1:]
+    stats = SmootherStats(
+        XX=X.T @ X, XU=X.T @ P, ZZ=Z.T @ Z, ZU=Z.T @ P, XZ=X.T @ Z, UU=P.T @ P, N=N
+    )
+    Q_inv = CovarianceConstraint.alpha_LL_beta_I(build_L(ops), 1e-3, 1e-4).inv_matrix()
+    MQM, rhs = _quadratic_terms(stats, ops, Q_inv, 1.0)
+
+    rr = np.block([[stats.XX, stats.XU], [stats.XU.T, stats.UU]])
+    dr = np.hstack([stats.XZ.T - stats.XX, stats.ZU - stats.XU])
+    G = [ops.regressor(e).toarray() for e in np.eye(ops.n_theta)]
+    QGrr = [Q_inv @ (G_j @ rr) for G_j in G]
+    ref_MQM = np.array([[np.sum(G_i * QG_j) for QG_j in QGrr] for G_i in G])
+    ref_rhs = np.array([np.sum(G_i * (Q_inv @ dr)) for G_i in G])
+    assert np.max(np.abs(MQM - ref_MQM)) <= 1e-12 * np.max(np.abs(ref_MQM))
+    assert np.max(np.abs(rhs - ref_rhs)) <= 1e-12 * np.max(np.abs(ref_rhs))

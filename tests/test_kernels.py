@@ -1,4 +1,6 @@
-"""The blocked affine scan and its three callers against per-step loops."""
+"""The blocked and the sequential affine scans and their three callers against per-step loops."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from thermem.datagen import ToySpec, build_toy, strong_theta, toy_inputs
 from thermem.errors import DivergenceError
 from thermem.graph import build_operators
 from thermem.model import StateSpaceModel, assemble, predict, simulate
+from thermem.smoother import rtss_steady
 
 # Record lengths: the shortest ones, the three around a whole number of
 # 8-step blocks (47, 48 and 49 steps), one more step, and a full
@@ -177,3 +180,116 @@ def test_full_module_prediction_matches_loop():
     T = predict(model, T1, P).T
     assert T.shape == (2000, 817)
     assert rel_err(T, rollout_loop(model.A, model.B, T1, P[:-1])) <= RTOL
+
+
+# The sequential evaluator and the adjoint smoother, which the rule in
+# ``_kernels.sequential`` picks on large operators.
+SEQUENTIAL_LENGTHS = (2, 3, 5000)
+ADJOINT_RTOL = 1e-9
+
+
+def steady_set(A, C, Q, R):
+    """Predicted covariance V, innovation covariance S, gain K and J_S of the steady smoother."""
+    V = sla.solve_discrete_are(A.T, C.T, Q, R)
+    V = (V + V.T) / 2
+    S = C @ V @ C.T + R
+    K_gain = np.linalg.solve(S, C @ V).T
+    J = np.linalg.solve(V, A @ (V - K_gain @ (C @ V))).T
+    return V, S, K_gain, J
+
+
+@pytest.mark.parametrize("N", SEQUENTIAL_LENGTHS)
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("rank", [0, 3])
+def test_sequential_scan_matches_loop_and_blocked_scan(system, N, reverse, rank):
+    A, n = system["A"], system["A"].shape[0]
+    # The rank-3 term as the filter passes it: (I - K C) A with a CSR C.
+    U, W = (system["K"], sp.csr_array(system["C"])) if rank else (None, None)
+    F = (np.eye(n) - system["K"] @ system["C"]) @ A if rank else A
+    X = system["rng"].normal(size=(N, n))
+    out = X.copy()
+    assert K.sequential_scan(sp.csr_array(A), out, reverse, U, W) is out
+    assert rel_err(out, affine_loop(F, X, reverse)) <= RTOL
+    assert rel_err(out, K.affine_scan(F, X.copy(), reverse)) <= RTOL
+
+
+@pytest.mark.parametrize("N", SEQUENTIAL_LENGTHS)
+def test_adjoint_smoother_matches_j_form_loop(system, N):
+    s = system
+    A, B, C, n = s["A"], s["B"], s["C"], s["A"].shape[0]
+    V, S, K_gain, J = steady_set(A, C, 1e-2 * np.eye(n), 1e-3 * np.eye(C.shape[0]))
+    P, Y, _ = inputs(system, N)
+    xf, innov = filter_loop(A, B, C, K_gain, s["x1"], P, Y)
+    SinvE = np.linalg.solve(S, innov.T).T
+    Xf = xf.copy()
+    assert K.smooth_adjoint(A, C, K_gain, SinvE, V, Xf) is Xf
+    assert rel_err(Xf, smooth_loop(A, B, J, xf, P)) <= ADJOINT_RTOL
+
+
+def test_adjoint_smoother_adds_no_record_length_array():
+    s = make_system("stable")
+    A, C, n, N = s["A"], s["C"], s["A"].shape[0], 20000
+    V, S, K_gain, _ = steady_set(A, C, 1e-2 * np.eye(n), 1e-3 * np.eye(C.shape[0]))
+    Xf = s["rng"].normal(size=(N, n))
+    SinvE = s["rng"].normal(size=(N - 1, C.shape[0]))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        K.smooth_adjoint(A, C, K_gain, SinvE, V, Xf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * N * n * 8
+
+
+@pytest.fixture(scope="module", params=["reduced", "full"])
+def toy_case(request):
+    """The strong-scheme toy model with qI process noise and a simulated record
+    of 1200 steps, so that the adjoint smoother runs two row chunks."""
+    spec = ToySpec.reduced() if request.param == "reduced" else ToySpec.full()
+    mesh, _, strong = build_toy(spec)
+    observed = [c.index for c in mesh.compartments if c.observed]
+    model = assemble(build_operators(mesh, strong), strong_theta(spec), observed, Q=1e-3, R=spec.meas_var)
+    T1 = np.full(model.n, ToySpec.ambient_temp)
+    traj = simulate(model, T1, toy_inputs(spec, mesh, 1200), seed=7)
+    return model, traj, T1
+
+
+def test_adjoint_smoother_matches_j_form_on_toy_modules(toy_case):
+    model, traj, T1 = toy_case
+    A, B, C, P = model.A, model.B, model.C, traj.P[:-1]
+    out = rtss_steady(model, traj.y, traj.P, T1)
+    V = out.V_S_minus
+    S = C @ V @ C.T + model.R
+    K_gain = np.linalg.solve(S, C @ V).T
+    xf, innov = filter_loop(A, B, C, K_gain, T1, P, traj.y)
+    ref = smooth_loop(A, B, out.J_S, xf, P)
+    xs = K.smooth_adjoint(A, C, K_gain, np.linalg.solve(S, innov.T).T, V, xf.copy())
+    assert rel_err(xs, ref) <= ADJOINT_RTOL
+    assert rel_err(out.x_smooth, ref) <= ADJOINT_RTOL
+
+
+def test_rule_is_blocked_at_178_and_sequential_at_817(toy_case, monkeypatch):
+    model, traj, T1 = toy_case
+    A, B, C, n, n_y = model.A, model.B, model.C, model.n, model.n_y
+    assert n in (178, 817)
+    assert K.sequential(A) == (n == 817)
+    calls = []
+
+    def spy(name):
+        scan = getattr(K, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return scan(*args, **kwargs)
+
+        return counted
+
+    for name in ("affine_scan", "sequential_scan"):
+        monkeypatch.setattr(K, name, spy(name))
+    P = traj.P[:-1]
+    K.rollout(A, B, T1, P)
+    xf, innov = K.filter_steady(A, B, C, np.zeros((n, n_y)), T1, P, traj.y)
+    K.smooth_steady(A, B, np.zeros((n, n)), xf, P, C, np.zeros((n, n_y)), innov, np.eye(n))
+    used = "sequential_scan" if n == 817 else "affine_scan"
+    assert len(calls) >= 3 and set(calls) == {used}

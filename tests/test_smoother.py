@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from _oracles import rtss_full
-from thermem.model import StateSpaceModel, simulate
+from thermem import _kernels
+from thermem.datagen import ToySpec, build_toy, strong_theta, toy_inputs
+from thermem.graph import build_operators
+from thermem.model import StateSpaceModel, assemble, simulate
 from thermem.smoother import SmootherOutput, accumulate_stats, rtss_steady
 from thermem.solvers import DareProblem, solve_dare
 
@@ -223,3 +226,29 @@ def test_stats_require_two_steps():
     )
     with pytest.raises(ValueError):
         accumulate_stats(out, np.zeros((1, 1)))
+
+
+def test_full_module_steady_estep_matches_blocked_path(monkeypatch):
+    """At n=817 the filter and the adjoint smoother run step by step; forcing
+    the blocked scans with the J_S form changes the E-step only by rounding."""
+    spec = ToySpec.full()
+    mesh, _, strong = build_toy(spec)
+    observed = [c.index for c in mesh.compartments if c.observed]
+    model = assemble(build_operators(mesh, strong), strong_theta(spec), observed, Q=1e-3, R=spec.meas_var)
+    T_1 = np.full(model.n, ToySpec.ambient_temp)
+    traj = simulate(model, T_1, toy_inputs(spec, mesh, 1500), seed=11)
+    assert _kernels.sequential(model.A)
+    out = rtss_steady(model, traj.y, traj.P, T_1)
+    stats = accumulate_stats(out, traj.P)
+    monkeypatch.setattr(_kernels, "SEQUENTIAL_MIN_N", model.n + 1)
+    ref = rtss_steady(model, traj.y, traj.P, T_1, V0=out.V_S_minus)
+    ref_stats = accumulate_stats(ref, traj.P)
+    np.testing.assert_array_equal(ref.V_S_minus, out.V_S_minus)
+
+    def rel(a, b):
+        return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+    assert rel(out.x_smooth, ref.x_smooth) <= 1e-9
+    assert abs(out.loglik - ref.loglik) <= 1e-9 * abs(ref.loglik)
+    for name in ("XX", "XU", "ZZ", "ZU", "XZ", "UU"):
+        assert rel(getattr(stats, name), getattr(ref_stats, name)) <= 1e-9, name

@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg as sla
 
 import thermem.solvers as solvers
-from thermem.errors import ConvergenceError
+from thermem.errors import ConvergenceError, NumericalError
 from thermem.solvers import (
     DareProblem,
     dare_residual,
@@ -275,3 +275,52 @@ def test_dare_warm_starts_of_em_match_float64_newton_hewer(monkeypatch, R):
         V = solve_dare(p, V0=V0)
         assert len(calls) == steps >= 1
         assert np.linalg.norm(V - V_ref) < 1e-8 * np.linalg.norm(V_ref)
+
+
+def _count_eigvalsh(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(M):
+        calls.append(M.shape)
+        return eigvalsh(M)
+
+    monkeypatch.setattr(solvers.np.linalg, "eigvalsh", counted)
+    return calls
+
+
+def test_check_psd_takes_eigenvalues_only_when_cholesky_fails(monkeypatch):
+    calls = _count_eigvalsh(monkeypatch)
+    rng = np.random.default_rng(4)
+    V = _random_spd(rng, 30)
+    assert solvers._check_psd(V) is V
+    assert calls == []
+    # PSD with a zero row and column (a state without process noise), and a
+    # negative eigenvalue inside the tolerance: the factorization fails and
+    # the eigenvalue criterion accepts.
+    singular = V.copy()
+    singular[-1] = singular[:, -1] = 0.0
+    Qo = _random_orthogonal(rng, 30)
+    W = Qo @ np.diag(np.r_[-1e-12, np.linspace(1.0, 2.0, 29)]) @ Qo.T
+    W = (W + W.T) / 2
+    for M in (singular, W):
+        assert solvers._check_psd(M) is M
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("low", [-1.0, -1e-8])
+def test_check_psd_rejects_indefinite(monkeypatch, low):
+    calls = _count_eigvalsh(monkeypatch)
+    rng = np.random.default_rng(5)
+    Qo = _random_orthogonal(rng, 20)
+    W = Qo @ np.diag(np.r_[low, np.linspace(1.0, 2.0, 19)]) @ Qo.T
+    with pytest.raises(NumericalError, match="indefinite"):
+        solvers._check_psd((W + W.T) / 2)
+    assert len(calls) == 1
+
+
+def test_check_psd_refuses_non_finite():
+    # np.linalg.cholesky factors a NaN matrix without an error; the check
+    # must not take that as a factorization.
+    with pytest.raises(np.linalg.LinAlgError):
+        solvers._check_psd(np.diag([1.0, np.nan, 1.0]))
