@@ -22,9 +22,16 @@ at a time over a CSR A plus an optional rank-r term, F = (I - U W) A:
   still overwrite the filtered ones and no second record-length array is
   held. The dense J_S is not needed for the means.
 
-Each step is one sparse product with A (about 7 nonzeros per row on the
-mesh) and, with the gain term, one product with each n_y-wide factor; at
-n=817 a step takes 10-25 us, most of it the call overhead of those products.
+Each step is one call of scipy's compiled CSR kernel ``csr_matvec``, which
+adds A x[t] straight into the row of X that holds the step's input: no
+scipy dispatch, no temporary and no separate addition. The gain term forms
+z = (W A) x[t] (n_y values) in a buffer and subtracts U z, a sparse factor
+by the same kernel and a dense one by ``np.dot(..., out=)``. The kernel's
+contract, pinned by tests/test_kernels.py: y += A x in float64, written
+into the output row in place even when that row is a strided view, with
+int32 or int64 indices. Per step at n=817 this is about 5 us in the
+rollout and 13-15 us with the gain term, against 10-11 and 21-32 us when
+each step went through ``A @ x`` (table below).
 
 ``affine_scan`` (n < SEQUENTIAL_MIN_N) is blocked in time (the block form of
 a linear prefix scan). With M = N-1 steps and the block length L the power
@@ -46,24 +53,25 @@ sparse F runs the lock-step products of phases 1 and 3 through its
 nonzeros (the rollout passes A as CSR). The filter's (I - K C) A and the
 smoother's J are dense.
 
-Per pass, blocked against sequential (2 vCPUs, 2 OpenBLAS threads, best of
-5-10 in each of three runs of a throwaway script on a shared machine;
-N=5000 for the filter and the smoother, a 6000-step rollout at n=817 and
-an 18000-step one at n=178):
+Per step, sequential against blocked, in us (``benchmarks/kernels.py`` on
+3-D grid operators of the module's sizes, N=5000, best of 7 in each of two
+runs on a shared 2-vCPU machine, 2 OpenBLAS threads; ``BENCH_kernels.json``):
 
-=========  =========================  ======================
-pass       n=817 (paper's module)     n=178 (reduced module)
-=========  =========================  ======================
-filter     252-318 vs 131-191 ms      16-20 vs 53-57 ms
-smoother   291-386 vs 194-249 ms      20-25 vs 58-98 ms
-rollout    129-173 vs 95-100 ms       38-44 vs 90-158 ms
-=========  =========================  ======================
+=========  ======================  ======================
+pass       n=817 (paper's module)  n=178 (reduced module)
+=========  ======================  ======================
+rollout    5.1-5.4 vs 26-27        1.9-3.2 vs 3.1-4.7
+filter     12.7-14.7 vs 55-58      4.6-8.0 vs 3.7-4.1
+smoother   13.2-14.5 vs 54-56      4.5-7.7 vs 3.4-4.1
+=========  ======================  ======================
 
 The blocked scan's dense lanes cost about n^2 per step and the sequential
 step about a fixed call overhead plus the nonzeros of A and 2 n n_y for the
-gain term. On 3-D grid operators with 7 nonzeros per row and every 20th
-state observed, the two met between n=400 and n=500 in all three passes,
-so the rule switches at SEQUENTIAL_MIN_N = 450.
+gain term. On 3-D grid operators with about 7 nonzeros per row and every
+20th state observed, the filter and smoother passes met between n=250 and
+n=325, and from n=325 on all three passes ran faster step by step in every
+run, so the rule switches at SEQUENTIAL_MIN_N = 325. The rollout alone
+would already step faster at n=178, but one rule serves all three passes.
 """
 
 from __future__ import annotations
@@ -73,10 +81,17 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-# Rows per chunk of the smoother's input and output products.
+# scipy's compiled CSR product y += A x, the routine that ``A @ x`` runs after
+# scipy's Python-side dispatch. Called directly, it adds A x[t] into the row
+# that already holds the step's input, with no dispatch and no temporary. The
+# module is private, but the kernel has been at this path since scipy 1.8
+# (the floor is 1.10); tests/test_kernels.py pins the contract relied on here.
+from scipy.sparse._sparsetools import csr_matvec
+
+# Rows per chunk of the rollout's and the smoother's input and output products.
 _INPUT_ROWS = 1024
 # Operator size from which the per-step recursion beats the blocked scan.
-SEQUENTIAL_MIN_N = 450
+SEQUENTIAL_MIN_N = 325
 
 
 def _c64(x):
@@ -88,18 +103,51 @@ def sequential(A):
     return A.shape[0] >= SEQUENTIAL_MIN_N
 
 
+def _csr_args(M):
+    """The leading arguments (shape, indptr, indices, data) of ``csr_matvec`` for M."""
+    M = sp.csr_array(M)
+    return (*M.shape, M.indptr, M.indices, M.data)
+
+
 def sequential_scan(A, X, reverse=False, U=None, W=None):
     """In place: X[t+1] += (I - U W) A X[t] in time order (X[t] += ... X[t+1]
-    if reverse), one ``A @ x`` product per step; without U and W, F = A."""
+    if reverse); without U and W, F = A. A is sparse; U (n x r) and W (r x n)
+    may each be sparse or dense.
+
+    Each step adds A x into the next row by one ``csr_matvec`` call. The
+    rank-r term forms z = (W A) x in a buffer and subtracts U z, a sparse
+    factor by ``csr_matvec`` and a dense one by ``np.dot(..., out=)``.
+    """
     M = X.shape[0] - 1
     steps = range(M - 1, -1, -1) if reverse else range(1, M + 1)
     prev = X[M] if reverse else X[0]
+    a = _csr_args(A)
+    if U is None:
+        for t in steps:
+            cur = X[t]
+            csr_matvec(*a, prev, cur)
+            prev = cur
+        return X
+    WA = W @ sp.csr_array(A)
+    sparse_w, sparse_u = sp.issparse(WA), sp.issparse(U)
+    wa = _csr_args(WA) if sparse_w else np.ascontiguousarray(WA)
+    # -U so that the kernel subtracts; a dense U column-major, where BLAS's
+    # product with a vector ran faster than row-major at n=817.
+    u = _csr_args(-U) if sparse_u else np.asfortranarray(U)
+    z, Uz = np.zeros(U.shape[1]), np.empty(X.shape[1])
     for t in steps:
-        y = A @ prev
-        if U is not None:
-            y -= U @ (W @ y)
-        prev = X[t]
-        prev += y
+        cur = X[t]
+        if sparse_w:
+            z.fill(0.0)
+            csr_matvec(*wa, prev, z)
+        else:
+            np.dot(wa, prev, out=z)
+        csr_matvec(*a, prev, cur)
+        if sparse_u:
+            csr_matvec(*u, z, cur)
+        else:
+            cur -= np.dot(u, z, out=Uz)
+        prev = cur
     return X
 
 
@@ -148,10 +196,15 @@ def affine_scan(F, X, reverse=False):
 
 def rollout(A, B, T1, P, W=None):
     """T[t+1] = A T[t] + B P[t] (+ W[t]); T[0] = T1. P has N-1 rows here."""
-    P = _c64(P)
-    T = np.empty((P.shape[0] + 1, np.shape(T1)[0]))
+    P, B = _c64(P), _c64(B)
+    T = np.zeros((P.shape[0] + 1, np.shape(T1)[0]))
     T[0] = T1
-    np.matmul(P, _c64(B).T, out=T[1:])
+    # B P[t] over the nonzero rows of B only (the other entries stay exact
+    # zeros), in row chunks so that no record-length temporary is made.
+    rows = np.flatnonzero(B.any(axis=1))
+    Bt = B[rows].T
+    for i in range(0, P.shape[0], _INPUT_ROWS):
+        T[1 + i : 1 + i + _INPUT_ROWS, rows] = P[i : i + _INPUT_ROWS] @ Bt
     if W is not None:
         T[1:] += W
     A = sp.csr_array(_c64(A))

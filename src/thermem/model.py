@@ -173,6 +173,14 @@ def _check_finite(T: np.ndarray):
         raise DivergenceError(int(np.argmax(bad)))
 
 
+def _observe(T: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """T @ C' over the nonzero columns of C only; for a selector of sorted
+    indices (``selector_matrix`` on every mesh's observed list), the gather."""
+    cols = np.flatnonzero(C.any(axis=0))
+    Y, C_cols = np.take(T, cols, axis=1), C[:, cols]  # take: C-ordered, unlike T[:, cols]
+    return Y if np.array_equal(C_cols, np.eye(len(cols))) else Y @ C_cols.T
+
+
 def simulate(
     model: StateSpaceModel,
     T_1: np.ndarray,
@@ -197,7 +205,7 @@ def simulate(
     if noiseless:
         T = _kernels.rollout(model.A, model.B, T_1, P_dyn)
         _check_finite(T)
-        y = T @ model.C.T
+        y = _observe(T, model.C)
         return Trajectory(P=P, y=y, T=T)
 
     rng = np.random.default_rng(seed)
@@ -206,7 +214,7 @@ def simulate(
     V = rng.standard_normal((N, model.n_y)) @ _psd_factor(model.R).T
     T = _kernels.rollout(model.A, model.B, T_1, P_dyn, W)
     _check_finite(T)
-    y = T @ model.C.T + V
+    y = _observe(T, model.C) + V
     return Trajectory(P=P, y=y, T=T)
 
 

@@ -213,6 +213,38 @@ def test_sequential_scan_matches_loop_and_blocked_scan(system, N, reverse, rank)
     assert rel_err(out, K.affine_scan(F, X.copy(), reverse)) <= RTOL
 
 
+def with_index_dtype(M, dtype):
+    M = sp.csr_array(M, copy=True)
+    M.indptr, M.indices = M.indptr.astype(dtype), M.indices.astype(dtype)
+    return M
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("factors", ["rank0", "csr_W", "csr_U"])
+@pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("rows", ["contiguous", "strided"])
+def test_compiled_step_contract(system, reverse, factors, index_dtype, rows):
+    """scipy's private CSR kernel adds into each row of X in place, with either
+    index width and on rows that are strided views; a change in it fails here
+    rather than writing into a copy."""
+    A, C, K_gain, n = system["A"], system["C"], system["K"], system["A"].shape[0]
+    # The filter's form with a CSR W = C, and the smoother's with a CSR U = C'.
+    U, W, F = {
+        "rank0": (None, None, A),
+        "csr_W": (K_gain, with_index_dtype(C, index_dtype), (np.eye(n) - K_gain @ C) @ A),
+        "csr_U": (with_index_dtype(C.T, index_dtype), K_gain.T, (np.eye(n) - C.T @ K_gain.T) @ A),
+    }[factors]
+    A_csr = with_index_dtype(A, index_dtype)
+    assert sp.csr_array(A_csr).indices.dtype == index_dtype
+    base = system["rng"].normal(size=(50, 2 * n))
+    X = base[:, ::2] if rows == "strided" else np.ascontiguousarray(base[:, :n])
+    assert X.flags.c_contiguous == (rows == "contiguous")
+    ref, untouched = affine_loop(F, X, reverse), base[:, 1::2].copy()
+    assert K.sequential_scan(A_csr, X, reverse, U, W) is X
+    assert rel_err(X, ref) <= RTOL
+    np.testing.assert_array_equal(base[:, 1::2], untouched)
+
+
 @pytest.mark.parametrize("N", SEQUENTIAL_LENGTHS)
 def test_adjoint_smoother_matches_j_form_loop(system, N):
     s = system

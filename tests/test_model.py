@@ -5,7 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from _oracles import dense_M, dense_structure
+from _oracles import dense_M, dense_structure, rollout_loop
+from thermem.datagen import ToySpec, build_toy, strong_theta, toy_inputs
 from thermem.errors import DivergenceError, StabilityError
 from thermem.graph import SharingScheme, build_operators
 from thermem.mesh import build_grid
@@ -201,6 +202,64 @@ def test_predict_equals_noiseless_simulate():
     np.testing.assert_array_equal(
         predict(model, [0.0, 0.0], P).T, simulate(model, [0.0, 0.0], P, noiseless=True).T
     )
+
+
+@pytest.fixture(scope="module", params=["reduced", "full"])
+def toy_model(request):
+    """The strong-scheme toy module with its selector C and qI process noise."""
+    spec = ToySpec.reduced() if request.param == "reduced" else ToySpec.full()
+    mesh, _, strong = build_toy(spec)
+    observed = [c.index for c in mesh.compartments if c.observed]
+    model = assemble(build_operators(mesh, strong), strong_theta(spec), observed, Q=1e-4, R=1e-4)
+    return model, np.full(model.n, ToySpec.ambient_temp), toy_inputs(spec, mesh, 300)
+
+
+@pytest.mark.parametrize("noiseless", [True, False])
+def test_simulate_selector_outputs_equal_dense_product(toy_model, noiseless):
+    model, T1, P = toy_model
+    traj = simulate(model, T1, P, seed=5, noiseless=noiseless)
+    y = traj.T @ model.C.T
+    if not noiseless:  # the measurement noise is drawn after the process noise
+        rng = np.random.default_rng(5)
+        rng.standard_normal((P.shape[0] - 1, model.n))
+        y += rng.standard_normal((P.shape[0], model.n_y)) @ _psd_factor(model.R).T
+    np.testing.assert_array_equal(traj.y, y)
+
+
+@pytest.mark.parametrize("zero_columns", [False, True])
+def test_simulate_dense_observation_matches_dense_product(zero_columns):
+    rng = np.random.default_rng(11)
+    A = np.diag(rng.uniform(0.5, 0.9, 8)) + 0.01 * rng.uniform(size=(8, 8))
+    C = rng.normal(size=(3, 8))
+    if zero_columns:
+        C[:, ::2] = 0.0
+    model = make_model(A, B=rng.normal(size=(8, 2)), C=C, Q=1e-4, R=1e-4)
+    P = rng.uniform(0, 1, (200, 2))
+    for noiseless in (True, False):
+        traj = simulate(model, rng.normal(25, 3, 8), P, seed=2, noiseless=noiseless)
+        ref = traj.T @ C.T
+        if not noiseless:
+            r = np.random.default_rng(2)
+            r.standard_normal((199, 8))
+            ref += r.standard_normal((200, 3)) @ _psd_factor(model.R).T
+        assert np.max(np.abs(traj.y - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n", [12, 500])
+@pytest.mark.parametrize("zero_rows", [False, True])
+def test_predict_with_and_without_zero_input_rows_matches_loop(n, zero_rows):
+    """Both scan evaluators (n=500 runs the sequential one) against the loop."""
+    rng = np.random.default_rng(n)
+    A = rng.uniform(size=(n, n)) * (rng.uniform(size=(n, n)) < 6 / n) + np.eye(n)
+    A *= 0.98 / A.sum(axis=1, keepdims=True)
+    B = rng.normal(size=(n, 3))
+    if zero_rows:
+        B[rng.uniform(size=n) < 0.7] = 0.0
+        assert 0 < np.count_nonzero(B.any(axis=1)) < n
+    model = make_model(A, B=B, C=np.eye(n)[:2])
+    T1, P = rng.normal(25, 3, n), rng.uniform(0, 1, (300, 3))
+    ref = rollout_loop(A, B, T1, P[:-1])
+    assert np.max(np.abs(predict(model, T1, P).T - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_initial_state_from_observation():
