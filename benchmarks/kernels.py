@@ -6,12 +6,13 @@
 
 For each operator size n, times the three forms of ``_kernels.sequential_scan``
 (the rollout on A, the filter's (I - K C) A with a dense K and a CSR C, and
-the smoother's adjoint (I - C' K') A' backwards with a CSR C') and the blocked
-``affine_scan`` on the operator each pass hands it at n below
-``SEQUENTIAL_MIN_N`` (the rollout's CSR A, the filter's dense (I - K C) A and
-the smoother's dense J). Each figure is microseconds per step, the best of
-``--repeats`` runs, the variants interleaved within each repeat. The scans
-write over a fresh copy of the same random record each time.
+the smoother's adjoint (I - C' K') A' backwards with a CSR C') and, for the
+filter and the smoother, the blocked ``affine_scan`` on the dense operator
+each hands it at n below ``SEQUENTIAL_MIN_N`` ((I - K C) A and J). The
+rollout always steps, so it has no blocked variant. Each figure is
+microseconds per step, the best of ``--repeats`` runs, the variants
+interleaved within each repeat. The scans write over a fresh copy of the
+same random record each time.
 
 The operators are 3-D grid ones like the module's: the first n cells of a
 near-cubic grid, each coupled to its up to six neighbours and leaking to a
@@ -76,7 +77,6 @@ def cases(n):
     seq, blk = _kernels.sequential_scan, _kernels.affine_scan
     return A, C.shape[0], {
         ("rollout", "sequential"): lambda X: seq(A, X),
-        ("rollout", "blocked"): lambda X: blk(A, X),
         ("filter", "sequential"): lambda X: seq(A, X, U=K, W=C_csr),
         ("filter", "blocked"): lambda X: blk(F, X),
         ("smooth", "sequential"): lambda X: seq(At, X, reverse=True, U=Ct, W=Kt),
@@ -97,9 +97,10 @@ def time_size(n, steps, repeats, rng):
     out = {"n": n, "n_y": n_y, "nnz_per_row": round(A.nnz / n, 2),
            "rule": "sequential" if _kernels.sequential(A) else "blocked"}
     for name in ("rollout", "filter", "smooth"):
-        us = {ev: round(1e6 * best[(name, ev)] / (steps - 1), 2) for ev in ("sequential", "blocked")}
+        us = {ev: round(1e6 * t / (steps - 1), 2) for (pass_, ev), t in best.items() if pass_ == name}
         out[name] = {f"{ev}_us_per_step": v for ev, v in us.items()}
-        out[name]["faster"] = min(us, key=us.get)
+        if len(us) > 1:
+            out[name]["faster"] = min(us, key=us.get)
     return out
 
 

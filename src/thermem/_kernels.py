@@ -4,11 +4,10 @@ All three hot loops have the form x[t+1] = F x[t] + u[t+1]. The callers
 compute the inputs of every step with one matrix product and then run the
 recursion in place on a time-major array X that holds x[0] in its first row
 and the inputs u in the others; with ``reverse=True`` it runs from the last
-row backwards, x[t] = F x[t+1] + u[t]. One rule on the operator size n,
-``sequential``, picks one of two evaluators of it:
+row backwards, x[t] = F x[t+1] + u[t]. There are two evaluators of it.
 
-``sequential_scan`` (n >= SEQUENTIAL_MIN_N) steps the recursion one product
-at a time over a CSR A plus an optional rank-r term, F = (I - U W) A:
+``sequential_scan`` steps the recursion one product at a time over a CSR A
+plus an optional rank-r term, F = (I - U W) A:
 
 - rollout: x[t+1] = A x[t] + u[t+1];
 - filter: F = (I - K C) A, so each step is xp = A xf[t] (+ B P[t] in the
@@ -29,33 +28,31 @@ z = (W A) x[t] (n_y values) in a buffer and subtracts U z, a sparse factor
 by the same kernel and a dense one by ``np.dot(..., out=)``. The kernel's
 contract, pinned by tests/test_kernels.py: y += A x in float64, written
 into the output row in place even when that row is a strided view, with
-int32 or int64 indices. Per step at n=817 this is about 5 us in the
-rollout and 13-15 us with the gain term, against 10-11 and 21-32 us when
-each step went through ``A @ x`` (table below).
+int32 or int64 indices.
 
-``affine_scan`` (n < SEQUENTIAL_MIN_N) is blocked in time (the block form of
-a linear prefix scan). With M = N-1 steps and the block length L the power
-of two nearest sqrt(M) (in ratio):
+``affine_scan`` is blocked in time (the block form of a linear prefix scan)
+over a dense F: the filter's (I - K C) A and the smoother's J. With M = N-1
+steps and the block length L the power of two nearest sqrt(M) (in ratio):
 
 1. local responses: the response of every block to its own inputs from a
    zero start, as L-1 lock-step products (blocks x n)(n x n) over strided
    views of X;
-2. carry: the block-start states in turn, x[(b+1)L] += F^L x[bL], with a
-   dense F^L that takes log2(L) squarings (6 products at M=5999);
+2. carry: the block-start states in turn, x[(b+1)L] += F^L x[bL], with
+   F^L from log2(L) squarings (6 products at M=5999);
 3. fix-up: F^j x[bL] added to position j of every block, again as L-1
    lock-step products.
 
 The last block may be short; it simply drops out of the lock-step products
 at the positions it does not have. The recursion thus costs about 2L
 matrix-matrix products instead of M matrix-vector products, and agrees with
-the per-step loop to rounding. F may be dense or a scipy.sparse matrix; a
-sparse F runs the lock-step products of phases 1 and 3 through its
-nonzeros (the rollout passes A as CSR). The filter's (I - K C) A and the
-smoother's J are dense.
+the per-step loop to rounding.
 
-Per step, sequential against blocked, in us (``benchmarks/kernels.py`` on
-3-D grid operators of the module's sizes, N=5000, best of 7 in each of two
-runs on a shared 2-vCPU machine, 2 OpenBLAS threads; ``BENCH_kernels.json``):
+The rollout always steps. The filter and the smoother step from
+n >= SEQUENTIAL_MIN_N (the rule ``sequential``) and run the blocked scan
+below it. Per step in us, sequential against blocked (``benchmarks/kernels.py``
+on 3-D grid operators of the module's sizes, N=5000, best of 7, a shared
+2-vCPU machine, 2 OpenBLAS threads; ``BENCH_kernels.json``; the rollout's
+blocked figures are of the removed scan over a CSR A):
 
 =========  ======================  ======================
 pass       n=817 (paper's module)  n=178 (reduced module)
@@ -65,13 +62,11 @@ filter     12.7-14.7 vs 55-58      4.6-8.0 vs 3.7-4.1
 smoother   13.2-14.5 vs 54-56      4.5-7.7 vs 3.4-4.1
 =========  ======================  ======================
 
-The blocked scan's dense lanes cost about n^2 per step and the sequential
-step about a fixed call overhead plus the nonzeros of A and 2 n n_y for the
-gain term. On 3-D grid operators with about 7 nonzeros per row and every
-20th state observed, the filter and smoother passes met between n=250 and
-n=325, and from n=325 on all three passes ran faster step by step in every
-run, so the rule switches at SEQUENTIAL_MIN_N = 325. The rollout alone
-would already step faster at n=178, but one rule serves all three passes.
+The blocked scan's dense lanes cost about n^2 per step, the sequential step
+a fixed call overhead plus the nonzeros of A and 2 n n_y for the gain term.
+On 3-D grid operators with about 7 nonzeros per row and every 20th state
+observed, the filter and smoother passes met between n=250 and n=325 and
+stepped faster from n=325 on in every run, hence SEQUENTIAL_MIN_N = 325.
 """
 
 from __future__ import annotations
@@ -90,7 +85,8 @@ from scipy.sparse._sparsetools import csr_matvec
 
 # Rows per chunk of the rollout's and the smoother's input and output products.
 _INPUT_ROWS = 1024
-# Operator size from which the per-step recursion beats the blocked scan.
+# Operator size from which the filter and the smoother step instead of
+# running the blocked scan.
 SEQUENTIAL_MIN_N = 325
 
 
@@ -99,7 +95,8 @@ def _c64(x):
 
 
 def sequential(A):
-    """True if recursions on the n x n operator A run step by step."""
+    """True if the filter and the smoother on the n x n operator A run step
+    by step; the rollout always does."""
     return A.shape[0] >= SEQUENTIAL_MIN_N
 
 
@@ -152,12 +149,13 @@ def sequential_scan(A, X, reverse=False, U=None, W=None):
 
 
 def affine_scan(F, X, reverse=False):
-    """In place: X[t+1] += F X[t] in time order (X[t] += F X[t+1] if reverse)."""
+    """In place: X[t+1] += F X[t] in time order (X[t] += F X[t+1] if reverse);
+    F is dense."""
     M = X.shape[0] - 1
     if M < 1:
         return X
     L = 1 << round(math.log2(M) / 2)  # the power of two nearest sqrt(M) in ratio
-    FT = F.T  # for a sparse F, lane @ FT runs as F @ lane.T
+    FT = F.T
 
     # Rows at position j of every block that has one, ordered by row index:
     # block order when running forward, reversed block order backwards.
@@ -182,7 +180,7 @@ def affine_scan(F, X, reverse=False):
     # 2. Carry across the block starts.
     starts = lane(0)
     chain = starts[::-1] if reverse else starts
-    FLT = np.linalg.matrix_power(F.toarray() if sp.issparse(F) else F, L).T
+    FLT = np.linalg.matrix_power(F, L).T
     for b in range(1, chain.shape[0]):
         chain[b] += chain[b - 1] @ FLT
     # 3. Fix-up: position j of block b gains F^j x[bL].
@@ -195,7 +193,10 @@ def affine_scan(F, X, reverse=False):
 
 
 def rollout(A, B, T1, P, W=None):
-    """T[t+1] = A T[t] + B P[t] (+ W[t]); T[0] = T1. P has N-1 rows here."""
+    """T[t+1] = A T[t] + B P[t] (+ W[t]); T[0] = T1. P has N-1 rows here.
+
+    Stepped at every size; an unstable A leaves inf/NaN rows, which the
+    caller checks for."""
     P, B = _c64(P), _c64(B)
     T = np.zeros((P.shape[0] + 1, np.shape(T1)[0]))
     T[0] = T1
@@ -207,9 +208,7 @@ def rollout(A, B, T1, P, W=None):
         T[1 + i : 1 + i + _INPUT_ROWS, rows] = P[i : i + _INPUT_ROWS] @ Bt
     if W is not None:
         T[1:] += W
-    A = sp.csr_array(_c64(A))
-    with np.errstate(over="ignore", invalid="ignore"):  # the caller checks for inf/NaN
-        return sequential_scan(A, T) if sequential(A) else affine_scan(A, T)
+    return sequential_scan(sp.csr_array(_c64(A)), T)
 
 
 def filter_steady(A, B, C, K, x1, P, Y):

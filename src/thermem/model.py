@@ -200,21 +200,17 @@ def simulate(
     N = P.shape[0]
     if N < 2:
         raise ValueError("trajectory needs N >= 2 steps")
-    P_dyn = P[: N - 1]
-
-    if noiseless:
-        T = _kernels.rollout(model.A, model.B, T_1, P_dyn)
-        _check_finite(T)
-        y = _observe(T, model.C)
-        return Trajectory(P=P, y=y, T=T)
-
-    rng = np.random.default_rng(seed)
-    FQ = _psd_factor(model.Q)
-    W = rng.standard_normal((N - 1, model.n)) @ FQ.T
-    V = rng.standard_normal((N, model.n_y)) @ _psd_factor(model.R).T
-    T = _kernels.rollout(model.A, model.B, T_1, P_dyn, W)
+    W = V = None
+    if not noiseless:
+        rng = np.random.default_rng(seed)
+        FQ = _psd_factor(model.Q)  # first: factoring beside the N x n draw raises peak RSS
+        W = rng.standard_normal((N - 1, model.n)) @ FQ.T
+        V = rng.standard_normal((N, model.n_y)) @ _psd_factor(model.R).T
+    T = _kernels.rollout(model.A, model.B, T_1, P[: N - 1], W)
     _check_finite(T)
-    y = _observe(T, model.C) + V
+    y = _observe(T, model.C)
+    if V is not None:
+        y += V
     return Trajectory(P=P, y=y, T=T)
 
 

@@ -160,8 +160,11 @@ def solve_dare(p: DareProblem, V0=None) -> np.ndarray:
 
     # Certify against the scaled tolerance, but never below the float64
     # residual floor of the problem scale (the cancellation in the gain term
-    # caps attainable residuals near 1e-9 relative when R << V; 5e-9 stays
-    # 2x inside the 1e-8 relative acceptance bound).
+    # caps attainable residuals near 1e-9 relative when R << V). 5e-9 stays
+    # 2x inside criterion 5's bound of 1e-8 max(1, |V|), but it is absolute
+    # while |V|_F < 1: a warm start is then accepted at 5e-9 / |V|_F relative.
+    # On toy_reduced (R = 1e-6) that let through 1.4e-7 at q = 1e-4 and
+    # 3.3e-4 at q = 1e-8, 2.1e-7 and 2.1e-3 from the cold doubling's solution.
     def threshold(M):
         return max(tol, 5e-9 * max(1.0, np.linalg.norm(M, "fro")))
 

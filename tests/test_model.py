@@ -248,7 +248,7 @@ def test_simulate_dense_observation_matches_dense_product(zero_columns):
 @pytest.mark.parametrize("n", [12, 500])
 @pytest.mark.parametrize("zero_rows", [False, True])
 def test_predict_with_and_without_zero_input_rows_matches_loop(n, zero_rows):
-    """Both scan evaluators (n=500 runs the sequential one) against the loop."""
+    """The stepped rollout at a small and a large operator size against the loop."""
     rng = np.random.default_rng(n)
     A = rng.uniform(size=(n, n)) * (rng.uniform(size=(n, n)) < 6 / n) + np.eye(n)
     A *= 0.98 / A.sum(axis=1, keepdims=True)
