@@ -3,34 +3,41 @@
 The filter-form DARE solved here is the fixed point of the predicted state
 covariance,
     V = A V A' - A V C' (C V C' + R)^{-1} C V A' + Q.
-From a nearby start (the previous EM iteration's solution), warm Newton-Hewer
-refinement solves the Stein equation X = F X F' + Res(V), with F = A - K C,
-K = A V C' (C V C' + R)^{-1} and Res(V) the DARE residual, and sets V <- V + X.
-The cold start and fallback is the structure-preserving doubling iteration
-(quadratically convergent, no eigen-decompositions), then a plain fixed-point
-sweep of the covariance recursion. Lyapunov and Stein equations V = J V J' + W
-are solved by the squaring iteration
-    V <- V + J^(2^k) V (J^(2^k))'.
-Every accepted solution is certified by its fixed-point residual; iterates
-are symmetrized each step to suppress drift.
+Its one algorithm is Newton-Hewer iteration (Kleinman, IEEE TAC 13:114,
+1968; Hewer, IEEE TAC 16:382, 1971): each step solves the Stein equation
+X = F X F' + Res(V), with F = A - K C, K = A V C' (C V C' + R)^{-1} and
+Res(V) the DARE residual, and sets V <- V + X. Stein and Lyapunov equations
+V = J V J' + W are solved by squaring, V <- V + J^(2^k) V (J^(2^k))'.
 
-Precision: each Newton-Hewer correction X is computed in float32 (F and the
-defect are cast down) and added to the float64 V. The defect, the residual
-certificate and the PSD check stay float64, so a correction only needs
-inexact-Newton accuracy: the next float64 defect accepts or rejects it. On
-the toy reduced-em, full-em and cli-pipeline workloads the warm solves took
-as many steps as in float64 and never fell back to doubling. That is
-measured, not guaranteed: the float32 error of a correction grows with the
-Stein operator's conditioning, about 1/(1 - rho(F)^2), so a mesh with
-slowly decaying closed-loop modes can need more steps, and one that hits
-the step cap or stops making progress falls back to the cold doubling,
-which is slower but still certified. At n=817 (2 OpenBLAS
-threads) a float32 GEMM takes about half the time of a float64 one, which
-halves each correction. The cold doubling stays float64 because its n x 2n
-solve is slower in float32 (about 100 against 80 ms), and solve_dlyap
-because nothing refines its result: reaching the 5e-9 certificate from
-float32 takes two float32 solves and a float64 residual, no cheaper than
-one float64 solve.
+A warm call starts from a nearby solution (the previous EM iteration's). A
+cold call starts from the error covariance of a predictor with a
+stabilizing gain K0, V = F0 V F0' + Q + K0 R K0' with F0 = A - K0 C, from
+which the iterates stay stabilizing and decrease to the solution. K0 =
+A C^+ comes first: for thermem's 0/1 selector C, F0 is A with its observed
+columns zeroed, which can only lower the spectral radius of the
+nonnegative A, and with the (always observed) ambient's column zeroed it
+is at most the dynamic block's radius, below 1. If F0 does not contract,
+K0 = 0 follows (a stable A), and a fixed-point sweep of the covariance
+recursion is the last resort.
+
+Every accepted solution is certified by its float64 residual and a PSD
+check. A warm call accepts the first certified iterate, giving up after 4
+corrections or once the residual stops falling. The certificate is
+absolute while |V|_F < 1 (see solve_dare), so a cold call, whose start is
+far off, also waits for a correction below 1e-8 |V|_F: on the
+178-compartment module at q = 1e-8 a certificate-only cold stop landed
+up to 3.3e-2 from scipy's solution, the step rule 1.3e-7 (scipy's own error).
+
+Precision: the cold start and each correction are computed in float32 and
+added to the float64 V; the defect, the certificate and the PSD check stay
+float64, so the next defect accepts or rejects every float32 step. The
+float32 error of a correction grows with the Stein operator's conditioning,
+about 1/(1 - rho(F)^2), so slowly decaying closed-loop modes can need more
+steps: at n=817 a cold call takes 4-7 corrections after its start, and a
+float32 GEMM about half the time of a float64 one (2 OpenBLAS threads).
+solve_dlyap stays float64 because nothing refines its result: reaching the
+5e-9 certificate from float32 takes two float32 solves and a float64
+residual, no cheaper than one float64 solve.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from thermem.errors import ConvergenceError, NumericalError
 
@@ -61,18 +69,20 @@ def _sym_inplace(M):
     return M
 
 
-# Newton-Hewer steps a warm start may take before it falls back to doubling.
-_NEWTON_STEPS = 4
-_MAX_ITER = 200  # doubling and squaring loops; the fixed-point sweep gets 10x
+_NEWTON_STEPS, _COLD_STEPS = 4, 20  # Newton-Hewer step caps, warm and cold
+_COLD_STEP = 1e-8  # a cold call ends on a correction X with |X|_F <= this |V|_F
+_MAX_ITER = 200  # squaring loops; the fixed-point sweep gets 10x
 
 
 def _riccati_defect(V, p: DareProblem):
-    """DARE residual Ric(V) - V and the predictor gain K = A V C' (C V C' + R)^{-1}."""
+    """DARE residual Ric(V) - V and the predictor gain K = A V C' (C V C' + R)^{-1}.
+
+    ``p.A`` may be dense or sparse; A V A' is formed as A (A V)', V symmetric."""
     A, C, Q, R = p.A, p.C, p.Q, p.R
     AV = A @ V
     AVC = AV @ C.T
     K = np.linalg.solve((C @ V @ C.T + R).T, AVC.T).T
-    return AV @ A.T - K @ AVC.T + Q - V, K
+    return A @ AV.T - K @ AVC.T + Q - V, K
 
 
 def dare_residual(V, p: DareProblem) -> float:
@@ -106,39 +116,49 @@ def _dare_fixed_point(p: DareProblem, V0, tol):
     """Plain covariance recursion V <- A(V - V C'(CVC'+R)^{-1} C V)A' + Q."""
     A, C, Q, R = p.A, p.C, p.Q, p.R
     V = _sym(V0)
-    for _ in range(10 * _MAX_ITER):
-        S = C @ V @ C.T + R
-        try:
-            G = np.linalg.solve(S, C @ V)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"singular innovation covariance: {exc}") from exc
-        V_new = _sym(A @ (V - V @ C.T @ G) @ A.T + Q)
-        if np.linalg.norm(V_new - V, "fro") <= 0.1 * tol:
-            return V_new
-        V = V_new
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(10 * _MAX_ITER):
+            S = C @ V @ C.T + R
+            try:
+                G = np.linalg.solve(S, C @ V)
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError(f"singular innovation covariance: {exc}") from exc
+            V_new = _sym(A @ (V - V @ C.T @ G) @ A.T + Q)
+            # Stops on convergence, and on a NaN step once V has overflowed
+            # (an undetectable mode); the caller's certificate tells them apart.
+            if not np.linalg.norm(V_new - V, "fro") > 0.1 * tol:
+                return V_new
+            V = V_new
     return V
 
 
-def _newton_hewer(p: DareProblem, V, threshold):
+def _newton_hewer(p: DareProblem, V, threshold, steps=_NEWTON_STEPS, step_tol=None):
     """Newton-Hewer steps from V: the certified solution, or None (silently) on
-    failure, after ``_NEWTON_STEPS`` steps, or once the residual stops falling."""
-    res_prev = np.inf
+    failure, after ``steps`` steps, or once an uncertified residual stops
+    falling. With ``step_tol``, a certified V is accepted only once the last
+    correction X had |X|_F <= step_tol |V|_F."""
+    res_prev = x = np.inf
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            for step in range(_NEWTON_STEPS + 1):
+            for step in range(steps + 1):
                 D, K = _riccati_defect(V, p)
                 res = float(np.linalg.norm(D, "fro"))
-                if res < threshold(V):
+                v = np.linalg.norm(V, "fro")
+                certified = res < threshold(V)
+                if certified and (step_tol is None or x <= step_tol * v):
                     return _check_psd(V)
-                if step == _NEWTON_STEPS or not res < res_prev:
+                if step == steps or not (certified or res < res_prev):
                     break
                 res_prev = res
                 # A float32 correction suffices: the float64 defect above
                 # certifies (or rejects) every step it produces.
+                tol = threshold(V) if step_tol is None else min(threshold(V), step_tol * v)
                 F = (p.A - K @ p.C).astype(np.float32)
-                V = V + _squaring(F, _sym_inplace(D).astype(np.float32), threshold(V))
+                X = _squaring(F, _sym_inplace(D).astype(np.float32), tol)
+                x = np.linalg.norm(X, "fro")
+                V = V + X
     except (np.linalg.LinAlgError, ConvergenceError, NumericalError):
-        pass  # the caller falls back to doubling
+        pass  # the caller goes on to its next start
     return None
 
 
@@ -147,74 +167,51 @@ def solve_dare(p: DareProblem, V0=None) -> np.ndarray:
 
     Requires R invertible and (A, C) detectable in every mode not excited by
     Q; with the marginal all-ones thermal mode this holds when the ambient
-    temperature is among the observations. A nearby solution ``V0`` starts
-    Newton-Hewer refinement; if that fails, doubling runs from a cold start.
+    temperature is among the observations. Newton-Hewer steps run from the
+    nearby solution ``V0`` if given, else (or if that fails) from a cold
+    start; the fixed-point sweep is the last resort.
     """
     A = np.asarray(p.A, dtype=np.float64)
     C = np.asarray(p.C, dtype=np.float64)
     Q = _sym(np.asarray(p.Q, dtype=np.float64))
     R = _sym(np.asarray(p.R, dtype=np.float64))
-    prob = DareProblem(A, C, Q, R)
-    n = A.shape[0]
+    prob = DareProblem(sp.csr_array(A), C, Q, R)  # sparse A for the defects
     tol = 1e-10 * max(1.0, np.linalg.norm(Q, "fro"))
 
     # Certify against the scaled tolerance, but never below the float64
     # residual floor of the problem scale (the cancellation in the gain term
     # caps attainable residuals near 1e-9 relative when R << V). 5e-9 stays
     # 2x inside criterion 5's bound of 1e-8 max(1, |V|), but it is absolute
-    # while |V|_F < 1: a warm start is then accepted at 5e-9 / |V|_F relative.
-    # On toy_reduced (R = 1e-6) that let through 1.4e-7 at q = 1e-4 and
-    # 3.3e-4 at q = 1e-8, 2.1e-7 and 2.1e-3 from the cold doubling's solution.
+    # while |V|_F < 1: on toy_reduced (R = 1e-6) a warm start was accepted at
+    # 1.4e-7 relative at q = 1e-4 and 3.3e-4 at q = 1e-8.
     def threshold(M):
         return max(tol, 5e-9 * max(1.0, np.linalg.norm(M, "fro")))
 
     if V0 is not None:
         V0 = np.asarray(V0, dtype=np.float64)
-        if V0.shape != (n, n):
-            raise ValueError(f"V0 must be {n}x{n}, got {V0.shape}")
+        if V0.shape != A.shape:
+            raise ValueError(f"V0 must be {A.shape}, got {V0.shape}")
         V = _newton_hewer(prob, _sym(V0), threshold)
         if V is not None:
             return V
 
-    # Doubling iteration on the dual (control-form) equation with
-    # (A, B, H) = (A', C', Q): Hk increases to the stabilizing solution.
-    # Ak and Gk live side by side in AG, the right-hand side of the solve, and
-    # each temporary goes before the next product is formed (memory peak).
-    AG = np.empty((n, 2 * n))
-    AG[:, :n] = A.T
-    try:
-        AG[:, n:] = _sym(C.T @ np.linalg.solve(R, C))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"R is singular: {exc}") from exc
-    Hk = Q.copy()
-    converged = False
-    for _ in range(_MAX_ITER):
-        Ak, Gk = AG[:, :n], AG[:, n:]
-        M = Gk @ Hk
-        M[np.diag_indices(n)] += 1.0
+    # Cold start: the error covariance of the predictor with gain K0, in
+    # float32, for the first K0 whose closed loop A - K0 C contracts.
+    for K0 in (A @ np.linalg.pinv(C), np.zeros(C.T.shape)):
+        W = Q + K0 @ R @ K0.T
         try:
-            solved = np.linalg.solve(M, AG)
-        except np.linalg.LinAlgError:
-            break  # fall back to the fixed-point sweep
-        del M
-        Minv_Ak, Minv_Gk = solved[:, :n], solved[:, n:]
-        H_next = _sym_inplace(Ak.T @ Hk @ Minv_Ak + Hk)
-        step = np.linalg.norm(H_next - Hk, "fro")
-        Hk = H_next
-        # solved becomes the next AG: G_next over M^{-1} Gk, then A_next.
-        solved[:, n:] = _sym_inplace(Ak @ Minv_Gk @ Ak.T + Gk)
-        solved[:, :n] = Ak @ Minv_Ak
-        AG = solved
-        if step <= 0.1 * tol * max(1.0, np.linalg.norm(Hk, "fro")):
-            converged = True
-            break
-    V = Hk
+            with np.errstate(over="ignore", invalid="ignore"):
+                V = _squaring((A - K0 @ C).astype(np.float32), W.astype(np.float32),
+                              _COLD_STEP * np.linalg.norm(W, "fro"))
+        except ConvergenceError:
+            continue
+        V = _newton_hewer(prob, V.astype(np.float64), threshold, _COLD_STEPS, _COLD_STEP)
+        if V is not None:
+            return V
 
-    res = dare_residual(V, prob) if converged else np.inf
-    if res >= threshold(V):
-        V = _dare_fixed_point(prob, V if converged else Q, tol)
-        res = dare_residual(V, prob)
-    if not np.isfinite(res) or res >= threshold(V):
+    V = _dare_fixed_point(prob, Q, tol)
+    res = dare_residual(V, prob)
+    if not res < threshold(V):  # NaN fails this too
         raise ConvergenceError(
             f"DARE did not reach residual tolerance {threshold(V):.3g} "
             f"(final residual {res:.3g})"
@@ -230,18 +227,20 @@ def _squaring(J, W, tol):
     """V = J V J' + W for symmetric W, by V <- V + J^(2^k) V (J^(2^k))'.
 
     Stops once the next term is below a tenth of ``tol``; raises
-    ConvergenceError when the iterates blow up (rho(J) >= 1).
+    ConvergenceError when the iterates blow up (rho(J) >= 1). The iterates
+    drift from symmetry by rounding only, so V is symmetrized once, at the end.
     """
     V, Jk = W, J  # neither is written to; each step makes new arrays
-    w0 = np.linalg.norm(W, "fro")
+    bound = 1e12 * max(1.0, np.linalg.norm(W, "fro"))
     for _ in range(_MAX_ITER):
-        V = _sym_inplace(Jk @ V @ Jk.T + V)
-        if not np.isfinite(V).all() or np.linalg.norm(V, "fro") > 1e12 * max(1.0, w0):
+        V = Jk @ V @ Jk.T + V
+        v = np.linalg.norm(V, "fro")
+        if not v <= bound:  # NaN fails this too
             raise ConvergenceError("Lyapunov squaring iteration diverging (rho(J) >= 1)")
         Jk = Jk @ Jk
-        if np.linalg.norm(Jk, "fro") ** 2 * np.linalg.norm(V, "fro") <= 0.1 * tol:
+        if np.linalg.norm(Jk, "fro") ** 2 * v <= 0.1 * tol:
             break
-    return V
+    return _sym_inplace(V)
 
 
 def solve_dlyap(J, W) -> np.ndarray:

@@ -162,10 +162,76 @@ def test_dare_bad_warm_start_falls_back_silently(monkeypatch, start):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         V = solve_dare(p, V0=V0)
-    assert results == [None]
+    # The warm refinement fails; the cold start's Newton-Hewer steps certify.
+    assert results[0] is None and results[1] is not None and len(results) == 2
     np.testing.assert_array_equal(V, solve_dare(p))
     assert dare_residual(V, p) < 5e-9 * max(1.0, np.linalg.norm(V))
     assert np.linalg.eigvalsh(V).min() > 0
+
+
+@pytest.fixture(scope="module")
+def reduced_module():
+    from thermem.datagen import ToySpec, build_toy, strong_theta
+    from thermem.graph import build_operators
+
+    spec = ToySpec.reduced()
+    mesh, _, strong = build_toy(spec)
+    observed = [c.index for c in mesh.compartments if c.observed]
+    return build_operators(mesh, strong), strong_theta(spec), observed
+
+
+@pytest.mark.parametrize("R", [1e-6, 1e-12])
+@pytest.mark.parametrize("q", [1e-2, 1e-4, 1e-6, 1e-8])
+def test_cold_dare_matches_scipy_on_reduced_module(reduced_module, q, R):
+    # Down to q = 1e-8, |V|_F is far below 1, where the certificate alone is
+    # an absolute 5e-9: the cold stop also needs a correction below 1e-8 |V|_F.
+    from thermem.model import assemble
+
+    m = assemble(*reduced_module, Q=q, R=R)
+    p = DareProblem(A=m.A, C=m.C, Q=m.Q, R=m.R)
+    V = solve_dare(p)
+    V_ref = sla.solve_discrete_are(m.A.T, m.C.T, m.Q, m.R)
+    assert np.linalg.norm(V - V_ref) <= 1e-6 * np.linalg.norm(V_ref)
+    assert dare_residual(V, p) <= 1e-11 * np.linalg.norm(V)
+
+
+def _count_sweeps(monkeypatch):
+    calls = []
+    sweep = solvers._dare_fixed_point
+
+    def counted(*args):
+        calls.append(args)
+        return sweep(*args)
+
+    monkeypatch.setattr(solvers, "_dare_fixed_point", counted)
+    return calls
+
+
+def test_dare_sweep_when_neither_cold_start_contracts(monkeypatch):
+    rng = np.random.default_rng(2)
+    n, n_y = 5, 2
+    A = rng.normal(size=(n, n))
+    A *= 1.3 / np.max(np.abs(np.linalg.eigvals(A)))
+    C = rng.normal(size=(n_y, n))
+    p = DareProblem(A=A, C=C, Q=_random_spd(rng, n), R=np.eye(n_y))
+    # Neither start's closed loop, A - A C^+ C or A, contracts.
+    for F0 in (A - A @ np.linalg.pinv(C) @ C, A):
+        assert np.max(np.abs(np.linalg.eigvals(F0))) > 1.0
+    calls = _count_sweeps(monkeypatch)
+    V = solve_dare(p)
+    assert len(calls) == 1
+    V_ref = sla.solve_discrete_are(A.T, C.T, p.Q, p.R)
+    assert np.linalg.norm(V - V_ref) <= 1e-9 * np.linalg.norm(V_ref)
+    assert np.array_equal(V, V.T)
+
+
+def test_dare_undetectable_raises(monkeypatch):
+    # The unstable first state is not observed: no gain stabilizes it.
+    p = DareProblem(A=np.diag([1.2, 0.5]), C=np.array([[0.0, 1.0]]), Q=np.eye(2), R=np.eye(1))
+    calls = _count_sweeps(monkeypatch)
+    with pytest.raises(ConvergenceError):
+        solve_dare(p)
+    assert len(calls) == 1
 
 
 def test_dare_warm_start_wrong_shape_raises():
