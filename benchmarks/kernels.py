@@ -6,10 +6,13 @@
 
 For each operator size n, times the three forms of ``_kernels.sequential_scan``
 (the rollout on A, the filter's (I - K C) A with a dense K and a CSR C, and
-the smoother's adjoint (I - C' K') A' backwards with a CSR C') and, for the
-filter and the smoother, the blocked ``affine_scan`` on the dense operator
-each hands it at n below ``SEQUENTIAL_MIN_N`` ((I - K C) A and J). The
-rollout always steps, so it has no blocked variant. Each figure is
+the smoother's adjoint F_p' = (I - C' K') A' backwards with a CSR C') and,
+for the filter and the smoother, the blocked ``affine_scan`` on the dense
+operator each hands it at n below ``SEQUENTIAL_MIN_N``: the filter's
+(I - K C) A over the whole record, and the smoother's F_p' backwards in
+chunks of ``_kernels._INPUT_ROWS`` steps, each chunk carrying its state from
+the next, as ``smooth_steady`` runs it. The rollout always steps, so it has
+no blocked variant. Each figure is
 microseconds per step, the best of ``--repeats`` runs, the variants
 interleaved within each repeat. The scans write over a fresh copy of the
 same random record each time.
@@ -72,15 +75,21 @@ def cases(n):
     C = np.eye(n)[::OBSERVE_EVERY]
     K = 0.5 * C.T  # a gain that keeps (I - K C) A stable
     F = (np.eye(n) - K @ C) @ A.toarray()
+    FpT = (np.eye(n) - C.T @ K.T) @ A.T.toarray()
     At, Ct, Kt = A.T.tocsr(), sp.csr_array(C.T), np.ascontiguousarray(K.T)
     C_csr = sp.csr_array(C)
     seq, blk = _kernels.sequential_scan, _kernels.affine_scan
+
+    def blk_chunks(X):
+        rows = _kernels._INPUT_ROWS
+        for stop in range(X.shape[0] - 1, 0, -rows):
+            blk(FpT, X[max(stop - rows, 0) : stop + 1], reverse=True)
     return A, C.shape[0], {
         ("rollout", "sequential"): lambda X: seq(A, X),
         ("filter", "sequential"): lambda X: seq(A, X, U=K, W=C_csr),
         ("filter", "blocked"): lambda X: blk(F, X),
         ("smooth", "sequential"): lambda X: seq(At, X, reverse=True, U=Ct, W=Kt),
-        ("smooth", "blocked"): lambda X: blk(F.T, X, reverse=True),
+        ("smooth", "blocked"): blk_chunks,
     }
 
 

@@ -13,7 +13,9 @@ aLLbI on the full one. The solver calls of those iterations are kept:
 - ``dare_cold``: the first E-step's DARE, from no start;
 - ``dare_warm``: the second E-step's DARE, from the first one's solution,
   as ``run_em`` restarts it;
-- ``dlyap``: the first E-step's smoother Lyapunov equation.
+- ``dlyap``: the first E-step's smoother Lyapunov equation, the adjoint
+  covariance Lambda = F_p' Lambda F_p + C' S^-1 C (its residual is relative
+  to |Lambda|_F, which is large).
 
 Each is then timed ``--repeats`` times, the three interleaved within each
 repeat, and reported as the best and the median in seconds, with the number

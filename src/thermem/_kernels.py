@@ -12,14 +12,7 @@ plus an optional rank-r term, F = (I - U W) A:
 - rollout: x[t+1] = A x[t] + u[t+1];
 - filter: F = (I - K C) A, so each step is xp = A xf[t] (+ B P[t] in the
   input), less K (C xp), plus K Y[t+1] in the input;
-- smoother, in the modified Bryson-Frazier adjoint form (Bierman,
-  *Factorization Methods for Discrete Sequential Estimation*, 1977):
-  mu[t] = F_p' (mu[t+1] + C' S^-1 e[t]) with F_p' = (I - C' K') A', the
-  transposed predictor-form closed loop, and mu[N-1] = 0; then
-  xs[t] = xf[t] + V^- mu[t]. The mu rows live in one chunk buffer and the
-  V^- product is one GEMM per chunk written into xf, so the smoothed means
-  still overwrite the filtered ones and no second record-length array is
-  held. The dense J_S is not needed for the means.
+- smoother: F = F_p' = (I - C' K') A' backwards, U = C' and W = K'.
 
 Each step is one call of scipy's compiled CSR kernel ``csr_matvec``, which
 adds A x[t] straight into the row of X that holds the step's input: no
@@ -31,47 +24,61 @@ into the output row in place even when that row is a strided view, with
 int32 or int64 indices.
 
 ``affine_scan`` is blocked in time (the block form of a linear prefix scan)
-over a dense F: the filter's (I - K C) A and the smoother's J. With M = N-1
-steps and the block length L the power of two nearest sqrt(M) (in ratio):
+over a dense F: the filter's (I - K C) A and the smoother's F_p'. With M
+steps and the block length L = round(M^(1/3)):
 
 1. local responses: the response of every block to its own inputs from a
    zero start, as L-1 lock-step products (blocks x n)(n x n) over strided
    views of X;
-2. carry: the block-start states in turn, x[(b+1)L] += F^L x[bL], with
-   F^L from log2(L) squarings (6 products at M=5999);
+2. carry: the block-start states in turn, x[(b+1)L] += F^L x[bL];
 3. fix-up: F^j x[bL] added to position j of every block, again as L-1
    lock-step products.
 
 The last block may be short; it simply drops out of the lock-step products
 at the positions it does not have. The recursion thus costs about 2L
-matrix-matrix products instead of M matrix-vector products, and agrees with
-the per-step loop to rounding.
+matrix-matrix products and M/L carry steps instead of M matrix-vector
+products, and agrees with the per-step loop to rounding. The cube-root L
+(10 for a 1024-step chunk) ran a dense scan at N=5000 5-8% faster than the
+power of two nearest sqrt(M) that it replaced, and it keeps pace with the
+smoother's chunks.
+
+The smoother has one form at every size, the modified Bryson-Frazier
+adjoint recursion (Bierman, *Factorization Methods for Discrete Sequential
+Estimation*, 1977): mu[t] = F_p' (mu[t+1] + C' S^-1 e[t]) with
+F_p' = (I - C' K') A', the transposed predictor-form closed loop, and
+mu[N-1] = 0; then xs[t] = xf[t] + V^- mu[t]. ``smooth_steady`` runs it in
+chunks of _INPUT_ROWS steps from the record end: the mu rows of a chunk live
+in one buffer above the carry mu[stop] from the chunk after it, and the V^-
+product is one GEMM per chunk written into xf, so the smoothed means
+overwrite the filtered ones and no second record-length array is held. Its
+one branch picks the evaluator of a chunk.
 
 The rollout always steps. The filter and the smoother step from
 n >= SEQUENTIAL_MIN_N (the rule ``sequential``) and run the blocked scan
 below it. Per step in us, sequential against blocked (``benchmarks/kernels.py``
-on 3-D grid operators of the module's sizes, N=5000, best of 7, a shared
-2-vCPU machine, 2 OpenBLAS threads; ``BENCH_kernels.json``; the rollout's
-blocked figures are of the removed scan over a CSR A):
+on 3-D grid operators of the module's sizes, N=5000, best of 7 in each of
+two runs, a shared 2-vCPU machine, 2 OpenBLAS threads; ``BENCH_kernels.json``;
+the smoother's blocked figure is its chunked scan over F_p'):
 
 =========  ======================  ======================
 pass       n=817 (paper's module)  n=178 (reduced module)
 =========  ======================  ======================
-rollout    5.1-5.4 vs 26-27        1.9-3.2 vs 3.1-4.7
-filter     12.7-14.7 vs 55-58      4.6-8.0 vs 3.7-4.1
-smoother   13.2-14.5 vs 54-56      4.5-7.7 vs 3.4-4.1
+rollout    4.3-4.4                 1.5-2.8
+filter     11.4-11.7 vs 36.7-37.3  3.9-7.0 vs 2.3-3.1
+smoother   10.6-11.7 vs 67-79      3.4-6.3 vs 3.2-4.3
 =========  ======================  ======================
 
 The blocked scan's dense lanes cost about n^2 per step, the sequential step
 a fixed call overhead plus the nonzeros of A and 2 n n_y for the gain term.
 On 3-D grid operators with about 7 nonzeros per row and every 20th state
 observed, the filter and smoother passes met between n=250 and n=325 and
-stepped faster from n=325 on in every run, hence SEQUENTIAL_MIN_N = 325.
+stepped faster from n=325 on in every run, hence SEQUENTIAL_MIN_N = 325
+(the smoother's chunked blocked scan has not been re-timed between them).
 """
 
 from __future__ import annotations
 
-import math
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -154,7 +161,7 @@ def affine_scan(F, X, reverse=False):
     M = X.shape[0] - 1
     if M < 1:
         return X
-    L = 1 << round(math.log2(M) / 2)  # the power of two nearest sqrt(M) in ratio
+    L = round(M ** (1 / 3))
     FT = F.T
 
     # Rows at position j of every block that has one, ordered by row index:
@@ -232,39 +239,20 @@ def filter_steady(A, B, C, K, x1, P, Y):
     return xf, innov
 
 
-def smooth_steady(A, B, J, Xf, P, C=None, K=None, SinvE=None, V_minus=None):
-    """Steady-gain smoother means xs[t] = Xf[t] + J (xs[t+1] - A Xf[t] - B P[t]), written
-    over ``Xf`` and returned if it is C-contiguous float64; other layouts are copied first.
-
-    Where ``sequential(A)``, the means come from the adjoint form instead and
-    need the filter's C, gain K, innovations S^-1 e[t] as rows and V^-.
-    """
-    if sequential(A):
-        if any(arg is None for arg in (C, K, SinvE, V_minus)):
-            raise ValueError(f"the adjoint smoother at n={A.shape[0]} needs C, K, SinvE and V_minus")
-        return smooth_adjoint(A, C, K, SinvE, V_minus, Xf)
-    A, B, J, xs, P = map(_c64, (A, B, J, Xf, P))
-    N = xs.shape[0]
-    G_x, G_p = (np.eye(A.shape[0]) - J @ A).T, (J @ B).T
-    # Inputs Xf[t] G_x - P[t] G_p, in row chunks so that no N x n temporary
-    # joins xs in memory; xs[-1] = Xf[-1] stays as it is.
-    for i in range(0, N - 1, _INPUT_ROWS):
-        rows = slice(i, min(i + _INPUT_ROWS, N - 1))
-        chunk = xs[rows] @ G_x
-        chunk -= P[rows] @ G_p
-        xs[rows] = chunk
-    return affine_scan(J, xs, reverse=True)
-
-
-def smooth_adjoint(A, C, K, SinvE, V_minus, Xf):
+def smooth_steady(A, C, K, Xf, SinvE, V_minus):
     """Smoother means xs[t] = Xf[t] + V^- mu[t], mu[t] = F_p'(mu[t+1] + C' SinvE[t]),
-    F_p' = (I - C' K') A', mu[N-1] = 0; written over ``Xf`` as ``smooth_steady``."""
+    F_p' = (I - C' K') A', mu[N-1] = 0; written over ``Xf`` and returned if it is
+    C-contiguous float64, other layouts are copied first."""
     A, C, K, SinvE, V_minus, xs = map(_c64, (A, C, K, SinvE, V_minus, Xf))
     N = xs.shape[0]
-    At, Ct, Kt = sp.csr_array(A).T.tocsr(), sp.csr_array(C.T), np.ascontiguousarray(K.T)
     # The inputs F_p' C' SinvE[t] as rows: SinvE[t] C A (I - K C).
     CA = C @ A
     G_in = CA - (CA @ K) @ C
+    if sequential(A):
+        scan = partial(sequential_scan, sp.csr_array(A).T.tocsr(), reverse=True,
+                       U=sp.csr_array(C.T), W=np.ascontiguousarray(K.T))
+    else:
+        scan = partial(affine_scan, A.T - C.T @ (A @ K).T, reverse=True)  # F_p'
     # Z holds mu over the rows [start, stop) of one chunk in time order, and
     # below them the carry mu[stop] (zero for the last chunk of the record).
     rows = min(_INPUT_ROWS, max(N - 1, 1))
@@ -273,7 +261,7 @@ def smooth_adjoint(A, C, K, SinvE, V_minus, Xf):
         start = max(stop - rows, 0)
         Z = mu[rows - (stop - start) :]
         body = np.matmul(SinvE[start:stop], G_in, out=Z[:-1])
-        sequential_scan(At, Z, reverse=True, U=Ct, W=Kt)
+        scan(Z)
         xs[start:stop] += body @ V_minus.T
         mu[-1] = Z[0]
     return xs

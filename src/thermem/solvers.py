@@ -244,7 +244,9 @@ def _squaring(J, W, tol):
 
 
 def solve_dlyap(J, W) -> np.ndarray:
-    """Solution of V = J V J' + W for spectral radius(J) < 1."""
+    """Solution of V = J V J' + W for spectral radius(J) < 1. The residual
+    bound max(1e-10 max(1, |W|_F), 5e-9 max(1, |V|_F)) is absolute while |W|_F
+    and |V|_F are below 1, so a small solution is accepted at a larger relative error."""
     J = np.asarray(J, dtype=np.float64)
     W = _sym(np.asarray(W, dtype=np.float64))
     tol = 1e-10 * max(1.0, np.linalg.norm(W, "fro"))

@@ -114,12 +114,13 @@ def dense_M(S_list, src, n_k, n_z, T_t, P_t):
     return M
 
 
-def bruteforce_terms(mesh, scheme, x, P, Q_inv, theta, V=None, J_S=None):
+def bruteforce_terms(mesh, scheme, x, P, Q_inv, theta, V=None, V_S_lag=None):
     """The five expected-term aggregates by explicit summation over t.
 
     ``x`` are smoothed means (N x n); with V (steady smoothed covariance) and
-    J_S given, the Gaussian covariance corrections are added per step using
-    Cov(T_{t+1}, T_t) = V J_S' and Cov(T_t, T_t) = V.
+    V_S_lag (the lag-one covariance Cov(T_t, T_{t+1})) given, the Gaussian
+    covariance corrections are added per step using Cov(T_{t+1}, T_t) =
+    V_S_lag' and Cov(T_t, T_t) = V.
     """
     N, n = x.shape
     n_k, n_z = scheme.n_k, scheme.n_z
@@ -133,8 +134,8 @@ def bruteforce_terms(mesh, scheme, x, P, Q_inv, theta, V=None, J_S=None):
 
     if V is None:
         V = np.zeros((n, n))
-        J_S = np.zeros((n, n))
-    V_lag = V @ J_S.T  # Cov(T_{t+1}, T_t)
+        V_S_lag = np.zeros((n, n))
+    V_lag = V_S_lag.T  # Cov(T_{t+1}, T_t)
 
     sum_dTdT = np.zeros((n, n))
     sum_MQM = np.zeros((p, p))
@@ -211,6 +212,19 @@ def smooth_loop(A, B, J, Xf, P):
     xs[-1] = Xf[-1]
     for t in range(Xf.shape[0] - 2, -1, -1):
         xs[t] = Xf[t] + J @ (xs[t + 1] - A @ Xf[t] - B @ P[t])
+    return xs
+
+
+def adjoint_loop(A, C, K, Xf, SinvE, V_minus):
+    """Steady-gain smoother in the modified Bryson-Frazier adjoint form, one
+    step at a time: mu[t] = F_p'(mu[t+1] + C' SinvE[t]) with F_p = A (I - K C)
+    and mu[N-1] = 0, then xs[t] = Xf[t] + V^- mu[t]."""
+    F_p = A @ (np.eye(A.shape[0]) - K @ C)
+    xs = np.array(Xf, dtype=np.float64)
+    mu = np.zeros(A.shape[0])
+    for t in range(xs.shape[0] - 2, -1, -1):
+        mu = F_p.T @ (mu + C.T @ SinvE[t])
+        xs[t] += V_minus @ mu
     return xs
 
 

@@ -269,7 +269,7 @@ def test_steady_estep_exact_up_to_end_of_record_term(reduced, system):
     steady = rtss_steady(model, traj.y, traj.P, traj.T[0])
     stats = accumulate_stats(steady, traj.P)
 
-    J = steady.J_S
+    J = np.linalg.solve(steady.V_S_minus, model.A @ steady.V_S_plus).T  # J_S
     D = steady.V_S_plus - steady.V_S_N  # D_{N-1}
     dXX, dZZ, dXZ = np.zeros_like(D), D.copy(), np.zeros_like(D)
     for t in range(N - 2, -1, -1):
@@ -359,12 +359,12 @@ def test_criterion_6_appendix_oracle_equivalence():
     for with_cov in (False, True):
         if not with_cov:
             out.V_S_N = np.zeros((ops.n, ops.n))
-            out.J_S = np.zeros((ops.n, ops.n))
-            V = J_S = None
+            out.V_S_lag = np.zeros((ops.n, ops.n))
+            V = V_lag = None
         else:
             out2 = rtss_steady(model, traj.y, traj.P, traj.T[0])
-            out.V_S_N, out.J_S = out2.V_S_N, out2.J_S
-            V, J_S = out.V_S_N, out.J_S
+            out.V_S_N, out.V_S_lag = out2.V_S_N, out2.V_S_lag
+            V, V_lag = out.V_S_N, out.V_S_lag
         stats = accumulate_stats(out, traj.P)
         theta_eval = ThetaParams(k=rng.uniform(0.01, 0.1, 2), z=rng.uniform(0.1, 1.0, 1))
         Mq = rng.normal(size=(ops.n, ops.n))
@@ -372,7 +372,7 @@ def test_criterion_6_appendix_oracle_equivalence():
         MQM, MQdT = _quadratic_terms(stats, ops, Q_inv, theta_eval.dtau)
         dTdT, MththM, dTthM = _theta_terms(stats, ops, theta_eval)
         ref = bruteforce_terms(
-            mesh, scheme, out.x_smooth, traj.P, Q_inv, theta_eval, V=V, J_S=J_S
+            mesh, scheme, out.x_smooth, traj.P, Q_inv, theta_eval, V=V, V_S_lag=V_lag
         )
         got = (dTdT, MQM, MththM, MQdT, dTthM)
         for g, r in zip(got, ref):

@@ -87,17 +87,17 @@ def test_expected_terms_match_bruteforce(with_cov):
     Q_inv = np.linalg.inv(0.5 * np.eye(ops.n) + 0.1 * np.ones((ops.n, ops.n)))
 
     if with_cov:
-        x, V, J_S = out.x_smooth, out.V_S_N, out.J_S
+        x, V, V_lag = out.x_smooth, out.V_S_N, out.V_S_lag
         stats = accumulate_stats(out, traj.P)
     else:
-        x, V, J_S = out.x_smooth, None, None
+        x, V, V_lag = out.x_smooth, None, None
         fake = out
         fake.V_S_N = np.zeros((ops.n, ops.n))
-        fake.J_S = np.zeros((ops.n, ops.n))
+        fake.V_S_lag = np.zeros((ops.n, ops.n))
         stats = accumulate_stats(fake, traj.P)
 
     got = aggregates(stats, ops, Q_inv, theta)
-    ref = bruteforce_terms(mesh, scheme, x, traj.P, Q_inv, theta, V=V, J_S=J_S)
+    ref = bruteforce_terms(mesh, scheme, x, traj.P, Q_inv, theta, V=V, V_S_lag=V_lag)
     names = ("dTdT", "MQM", "MththM", "MQdT", "dTthM")
     for name, g, r_ in zip(names, got, ref):
         scale = max(1.0, np.max(np.abs(r_)))

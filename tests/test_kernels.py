@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from _oracles import affine_loop, filter_loop, rollout_loop, smooth_loop
+from _oracles import adjoint_loop, affine_loop, filter_loop, rollout_loop, smooth_loop
 from thermem import _kernels as K
 from thermem.datagen import ToySpec, build_toy, strong_theta, toy_inputs
 from thermem.errors import DivergenceError
@@ -16,9 +16,12 @@ from thermem.model import StateSpaceModel, assemble, predict, simulate
 from thermem.smoother import rtss_steady
 
 # Record lengths: the shortest ones, the three around a whole number of
-# 8-step blocks (47, 48 and 49 steps), one more step, and a full
-# identification record.
+# blocks (47, 48 and 49 steps; 48 is 12 blocks of 4), one more step, and a
+# full identification record.
 LENGTHS = (2, 3, 48, 49, 50, 51, 5000)
+# The smoother's chunk boundaries: N-1 of one chunk, one chunk and a step,
+# and two chunks and a step.
+CHUNK_LENGTHS = (1025, 1026, 2050)
 RTOL = 1e-12
 
 
@@ -45,14 +48,17 @@ def make_system(kind):
     make = stable_matrix if kind == "stable" else marginal_matrix
     A = make(rng, n)
     C = np.eye(n)[[0, 5, n - 1]]
-    # Stationary Kalman gain, so the filter's closed loop (I - K C) A is stable.
+    # Stationary Kalman gain, so the filter's closed loop (I - K C) A and the
+    # smoother's A (I - K C) are stable.
     V = sla.solve_discrete_are(A.T, C.T, 1e-2 * np.eye(n), 1e-3 * np.eye(n_y))
+    S = C @ V @ C.T + 1e-3 * np.eye(n_y)
     return dict(
         A=A,
         B=rng.normal(size=(n, n_P)),
         C=C,
-        K=V @ C.T @ np.linalg.inv(C @ V @ C.T + 1e-3 * np.eye(n_y)),
-        J=stable_matrix(rng, n, 0.9),
+        K=V @ C.T @ np.linalg.inv(S),
+        V=V,
+        S=S,
         x1=rng.normal(25, 3, n),
         rng=rng,
     )
@@ -98,20 +104,37 @@ def test_filter_and_smoother_match_loops(system, N):
     xf_ref, innov_ref = filter_loop(s["A"], s["B"], s["C"], s["K"], s["x1"], P, Y)
     assert rel_err(xf, xf_ref) <= RTOL
     assert rel_err(innov, innov_ref) <= RTOL
-    xs = K.smooth_steady(s["A"], s["B"], s["J"], xf_ref.copy(), P)
-    assert rel_err(xs, smooth_loop(s["A"], s["B"], s["J"], xf_ref, P)) <= RTOL
+    SinvE = np.linalg.solve(s["S"], innov_ref.T).T
+    xs = K.smooth_steady(s["A"], s["C"], s["K"], xf_ref.copy(), SinvE, s["V"])
+    assert rel_err(xs, adjoint_loop(s["A"], s["C"], s["K"], xf_ref, SinvE, s["V"])) <= RTOL
+
+
+@pytest.mark.parametrize("N", LENGTHS + CHUNK_LENGTHS)
+@pytest.mark.parametrize("evaluator", ["blocked", "sequential"])
+def test_smooth_steady_matches_adjoint_loop(system, N, evaluator, monkeypatch):
+    """Both evaluators against the per-step adjoint recursion, across the
+    row chunks that carry mu from one to the next."""
+    s = system
+    if evaluator == "sequential":
+        monkeypatch.setattr(K, "SEQUENTIAL_MIN_N", 0)
+    assert K.sequential(s["A"]) == (evaluator == "sequential")
+    Xf = s["rng"].normal(25, 3, (N, s["A"].shape[0]))
+    SinvE = s["rng"].normal(size=(N - 1, s["C"].shape[0]))
+    ref = adjoint_loop(s["A"], s["C"], s["K"], Xf, SinvE, s["V"])
+    assert rel_err(K.smooth_steady(s["A"], s["C"], s["K"], Xf, SinvE, s["V"]), ref) <= RTOL
 
 
 def test_smooth_steady_overwrites_only_c_contiguous_float64_means():
     s = make_system("stable")
     P, Y, _ = inputs(s, 300)
-    xf = filter_loop(s["A"], s["B"], s["C"], s["K"], s["x1"], P, Y)[0]
-    ref = smooth_loop(s["A"], s["B"], s["J"], xf, P)
+    xf, innov = filter_loop(s["A"], s["B"], s["C"], s["K"], s["x1"], P, Y)
+    SinvE = np.linalg.solve(s["S"], innov.T).T
+    ref = adjoint_loop(s["A"], s["C"], s["K"], xf, SinvE, s["V"])
     Xf = xf.copy()
-    assert K.smooth_steady(s["A"], s["B"], s["J"], Xf, P) is Xf
+    assert K.smooth_steady(s["A"], s["C"], s["K"], Xf, SinvE, s["V"]) is Xf
     assert rel_err(Xf, ref) <= RTOL
     Xf_f = np.asfortranarray(xf)
-    xs = K.smooth_steady(s["A"], s["B"], s["J"], Xf_f, P)
+    xs = K.smooth_steady(s["A"], s["C"], s["K"], Xf_f, SinvE, s["V"])
     assert xs is not Xf_f
     np.testing.assert_array_equal(Xf_f, xf)
     np.testing.assert_array_equal(xs, Xf)
@@ -120,10 +143,11 @@ def test_smooth_steady_overwrites_only_c_contiguous_float64_means():
 def test_wrappers_accept_noncontiguous_inputs():
     s = make_system("marginal")
     P, Y, W = inputs(s, 200)
-    A_f, J_f = np.asfortranarray(s["A"]), np.asfortranarray(s["J"])
+    A_f, K_f = np.asfortranarray(s["A"]), np.asfortranarray(s["K"])
     P2 = np.repeat(P, 2, axis=0)[::2]
     Y_f = np.asfortranarray(Y)
-    xf_f = np.asfortranarray(filter_loop(s["A"], s["B"], s["C"], s["K"], s["x1"], P, Y)[0])
+    xf, innov = filter_loop(s["A"], s["B"], s["C"], s["K"], s["x1"], P, Y)
+    xf_f, SinvE = np.asfortranarray(xf), np.linalg.solve(s["S"], innov.T).T
     np.testing.assert_array_equal(
         K.rollout(A_f, s["B"], s["x1"], P2, np.asfortranarray(W)), K.rollout(s["A"], s["B"], s["x1"], P, W)
     )
@@ -133,8 +157,8 @@ def test_wrappers_accept_noncontiguous_inputs():
     ):
         np.testing.assert_array_equal(a, b)
     np.testing.assert_array_equal(
-        K.smooth_steady(s["A"], s["B"], J_f, xf_f, P2),
-        K.smooth_steady(s["A"], s["B"], s["J"], np.ascontiguousarray(xf_f), P),
+        K.smooth_steady(A_f, s["C"], K_f, xf_f, np.repeat(SinvE, 2, axis=0)[::2], s["V"]),
+        K.smooth_steady(s["A"], s["C"], s["K"], xf.copy(), np.ascontiguousarray(SinvE), s["V"]),
     )
 
 
@@ -178,14 +202,14 @@ def test_full_module_prediction_matches_loop():
         assert rel_err(T, rollout_loop(model.A, model.B, T1, P[:-1])) <= RTOL, model.n
 
 
-# The sequential evaluator and the adjoint smoother, which the rule in
-# ``_kernels.sequential`` picks on large operators.
+# The sequential evaluator, which the rule in ``_kernels.sequential`` picks
+# on large operators, and the adjoint smoother against the RTS (J) form.
 SEQUENTIAL_LENGTHS = (2, 3, 5000)
 ADJOINT_RTOL = 1e-9
 
 
 def steady_set(A, C, Q, R):
-    """Predicted covariance V, innovation covariance S, gain K and J_S of the steady smoother."""
+    """Predicted covariance V, innovation covariance S, gain K and RTS gain J of the steady smoother."""
     V = sla.solve_discrete_are(A.T, C.T, Q, R)
     V = (V + V.T) / 2
     S = C @ V @ C.T + R
@@ -250,20 +274,23 @@ def test_adjoint_smoother_matches_j_form_loop(system, N):
     xf, innov = filter_loop(A, B, C, K_gain, s["x1"], P, Y)
     SinvE = np.linalg.solve(S, innov.T).T
     Xf = xf.copy()
-    assert K.smooth_adjoint(A, C, K_gain, SinvE, V, Xf) is Xf
+    assert K.smooth_steady(A, C, K_gain, Xf, SinvE, V) is Xf
     assert rel_err(Xf, smooth_loop(A, B, J, xf, P)) <= ADJOINT_RTOL
 
 
-def test_adjoint_smoother_adds_no_record_length_array():
+@pytest.mark.parametrize("evaluator", ["blocked", "sequential"])
+def test_adjoint_smoother_adds_no_record_length_array(evaluator, monkeypatch):
     s = make_system("stable")
     A, C, n, N = s["A"], s["C"], s["A"].shape[0], 20000
-    V, S, K_gain, _ = steady_set(A, C, 1e-2 * np.eye(n), 1e-3 * np.eye(C.shape[0]))
+    if evaluator == "sequential":
+        monkeypatch.setattr(K, "SEQUENTIAL_MIN_N", 0)
+    assert K.sequential(A) == (evaluator == "sequential")
     Xf = s["rng"].normal(size=(N, n))
     SinvE = s["rng"].normal(size=(N - 1, C.shape[0]))
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        K.smooth_adjoint(A, C, K_gain, SinvE, V, Xf)
+        K.smooth_steady(A, C, s["K"], Xf, SinvE, s["V"])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -290,9 +317,10 @@ def test_adjoint_smoother_matches_j_form_on_toy_modules(toy_case):
     V = out.V_S_minus
     S = C @ V @ C.T + model.R
     K_gain = np.linalg.solve(S, C @ V).T
+    J = np.linalg.solve(V, A @ out.V_S_plus).T
     xf, innov = filter_loop(A, B, C, K_gain, T1, P, traj.y)
-    ref = smooth_loop(A, B, out.J_S, xf, P)
-    xs = K.smooth_adjoint(A, C, K_gain, np.linalg.solve(S, innov.T).T, V, xf.copy())
+    ref = smooth_loop(A, B, J, xf, P)
+    xs = K.smooth_steady(A, C, K_gain, xf.copy(), np.linalg.solve(S, innov.T).T, V)
     assert rel_err(xs, ref) <= ADJOINT_RTOL
     assert rel_err(out.x_smooth, ref) <= ADJOINT_RTOL
 
@@ -324,6 +352,6 @@ def test_rule_is_blocked_at_178_and_sequential_at_817(toy_case, monkeypatch):
         assert calls == ["sequential_scan"]
     calls.clear()
     xf, innov = K.filter_steady(A, B, C, np.zeros((n, n_y)), T1, P, traj.y)
-    K.smooth_steady(A, B, np.zeros((n, n)), xf, P, C, np.zeros((n, n_y)), innov, np.eye(n))
+    K.smooth_steady(A, C, np.zeros((n, n_y)), xf, innov, np.eye(n))
     used = "sequential_scan" if n == 817 else "affine_scan"
     assert len(calls) >= 2 and set(calls) == {used}

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from _oracles import rtss_full
 from thermem import _kernels
@@ -116,6 +117,35 @@ def test_steady_covariance_identities():
         assert np.linalg.eigvalsh(V).min() > -1e-10
 
 
+@pytest.fixture(scope="module")
+def reduced_module():
+    spec = ToySpec.reduced()
+    mesh, _, strong = build_toy(spec)
+    observed = [c.index for c in mesh.compartments if c.observed]
+    return build_operators(mesh, strong), strong_theta(spec), observed
+
+
+@pytest.mark.parametrize("R", [1e-6, 1e-12])
+@pytest.mark.parametrize("q", [1e-2, 1e-4, 1e-8])
+def test_steady_covariances_match_rts_lyapunov_solution(reduced_module, q, R):
+    """V_S^N and the lag-one covariance against the RTS form's Lyapunov
+    equation V_S = J V_S J' + V^+ - J V^- J', J = V^+ A' (V^-)^-1, solved by
+    scipy from the same V^- and V^+."""
+    ops, theta, observed = reduced_module
+    model = assemble(ops, theta, observed, Q=q, R=R)
+    N = 20
+    out = rtss_steady(model, np.zeros((N, model.n_y)), np.zeros((N, model.n_P)), np.zeros(model.n))
+    V_minus, V_plus = out.V_S_minus, out.V_S_plus
+    J = np.linalg.solve(V_minus, model.A @ V_plus).T
+    V_S = sla.solve_discrete_lyapunov(J, V_plus - J @ V_minus @ J.T, method="bilinear")
+
+    def rel(a, b):
+        return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+    assert rel(out.V_S_N, V_S) <= 1e-12
+    assert rel(out.V_S_lag, J @ V_S) <= 1e-12
+
+
 def test_steady_smoother_holds_one_record_length_array_of_means():
     # The smoothed means overwrite the filtered ones: the peak allocation of
     # one call stays well below two N x n float64 arrays.
@@ -142,7 +172,7 @@ def test_accumulate_stats_single_term_hand_values():
         V_S_minus=np.zeros((1, 1)),
         V_S_plus=np.zeros((1, 1)),
         V_S_N=np.zeros((1, 1)),
-        J_S=np.zeros((1, 1)),
+        V_S_lag=np.zeros((1, 1)),
         loglik=0.0,
     )
     stats = accumulate_stats(out, np.array([[3.0], [0.0]]))
@@ -164,7 +194,7 @@ def test_accumulate_stats_reduces_to_mean_outer_products():
         V_S_minus=np.zeros((n, n)),
         V_S_plus=np.zeros((n, n)),
         V_S_N=np.zeros((n, n)),
-        J_S=np.zeros((n, n)),
+        V_S_lag=np.zeros((n, n)),
         loglik=0.0,
     )
     stats = accumulate_stats(out, P)
@@ -191,7 +221,7 @@ def test_accumulate_stats_matches_bruteforce_loop():
     for t in range(N - 1):
         XX += out.V_S_N + np.outer(out.x_smooth[t], out.x_smooth[t])
         ZZ += out.V_S_N + np.outer(out.x_smooth[t + 1], out.x_smooth[t + 1])
-        XZ += out.J_S @ out.V_S_N.T + np.outer(out.x_smooth[t], out.x_smooth[t + 1])
+        XZ += out.V_S_lag + np.outer(out.x_smooth[t], out.x_smooth[t + 1])
         XU += np.outer(out.x_smooth[t], traj.P[t])
         ZU += np.outer(out.x_smooth[t + 1], traj.P[t])
         UU += np.outer(traj.P[t], traj.P[t])
@@ -221,7 +251,7 @@ def test_stats_require_two_steps():
         V_S_minus=np.zeros((2, 2)),
         V_S_plus=np.zeros((2, 2)),
         V_S_N=np.zeros((2, 2)),
-        J_S=np.zeros((2, 2)),
+        V_S_lag=np.zeros((2, 2)),
         loglik=0.0,
     )
     with pytest.raises(ValueError):
@@ -230,7 +260,7 @@ def test_stats_require_two_steps():
 
 def test_full_module_steady_estep_matches_blocked_path(monkeypatch):
     """At n=817 the filter and the adjoint smoother run step by step; forcing
-    the blocked scans with the J_S form changes the E-step only by rounding."""
+    the blocked scans changes the E-step only by rounding."""
     spec = ToySpec.full()
     mesh, _, strong = build_toy(spec)
     observed = [c.index for c in mesh.compartments if c.observed]
