@@ -5,17 +5,22 @@
     python3 benchmarks/kernels.py --out BENCH_kernels.json --label "after the change"
 
 For each operator size n, times the three forms of ``_kernels.sequential_scan``
-(the rollout on A, the filter's (I - K C) A with a dense K and a CSR C, and
-the smoother's adjoint F_p' = (I - C' K') A' backwards with a CSR C') and,
-for the filter and the smoother, the blocked ``affine_scan`` on the dense
-operator each hands it at n below ``SEQUENTIAL_MIN_N``: the filter's
-(I - K C) A over the whole record, and the smoother's F_p' backwards in
-chunks of ``_kernels._INPUT_ROWS`` steps, each chunk carrying its state from
-the next, as ``smooth_steady`` runs it. The rollout always steps, so it has
-no blocked variant. Each figure is
-microseconds per step, the best of ``--repeats`` runs, the variants
-interleaved within each repeat. The scans write over a fresh copy of the
-same random record each time.
+(the rollout on A; the filter's predictor closed loop F_p = A - K C, K the
+dense predictor gain, as U = K and W = C with a CSR C; and the smoother's
+adjoint F_p' = A' - C' K' backwards, over A' with U = C' as CSR and W = K')
+and, for the filter and the smoother, the blocked ``affine_scan`` on the
+dense operator each hands it at n below ``SEQUENTIAL_MIN_N``: the filter's
+F_p over the whole record, and the smoother's F_p' backwards in chunks of
+``_kernels._INPUT_ROWS`` steps, each chunk carrying its state from the next,
+as ``smooth_steady`` runs it. The rollout always steps, so it has no blocked
+variant. Each figure is microseconds per step, the best of ``--repeats``
+runs, the variants interleaved within each repeat. The scans write over a
+fresh copy of the same random record each time.
+
+Each sequential form is checked against its blocked counterpart on the
+record it timed: the script exits 1, and records nothing, when they differ
+by more than 1e-10 relative, so factors that no longer give the operator
+that the blocked scan runs fail here instead of timing the wrong recursion.
 
 The operators are 3-D grid ones like the module's: the first n cells of a
 near-cubic grid, each coupled to its up to six neighbours and leaking to a
@@ -50,6 +55,9 @@ import scipy.sparse as sp  # noqa: E402
 from thermem import _kernels  # noqa: E402
 
 OBSERVE_EVERY = 20
+# The largest relative difference allowed between a pass's sequential and
+# blocked scans of the same record.
+MAX_MISMATCH = 1e-10
 
 
 def grid_operator(n, coupling=0.12, leak=0.002):
@@ -73,9 +81,9 @@ def cases(n):
     """(pass, evaluator) -> the scan call on a record X."""
     A = grid_operator(n)
     C = np.eye(n)[::OBSERVE_EVERY]
-    K = 0.5 * C.T  # a gain that keeps (I - K C) A stable
-    F = (np.eye(n) - K @ C) @ A.toarray()
-    FpT = (np.eye(n) - C.T @ K.T) @ A.T.toarray()
+    K = 0.5 * (A @ C.T)  # F_p = A (I - C'C / 2) is stable, A being symmetric
+    F = A.toarray() - K @ C
+    FpT = F.T
     At, Ct, Kt = A.T.tocsr(), sp.csr_array(C.T), np.ascontiguousarray(K.T)
     C_csr = sp.csr_array(C)
     seq, blk = _kernels.sequential_scan, _kernels.affine_scan
@@ -97,12 +105,20 @@ def time_size(n, steps, repeats, rng):
     A, n_y, calls = cases(n)
     X0 = rng.normal(size=(steps, n))
     best = dict.fromkeys(calls, np.inf)
+    stepped, mismatch = {}, {}
     for _ in range(repeats):
-        for key, call in calls.items():
+        for (name, ev), call in calls.items():
             X = X0.copy()
             t0 = time.perf_counter()
             call(X)
-            best[key] = min(best[key], time.perf_counter() - t0)
+            best[name, ev] = min(best[name, ev], time.perf_counter() - t0)
+            # Each pass's sequential form runs before its blocked one.
+            if ev == "sequential":
+                stepped[name] = X
+            elif name in stepped:
+                ref = stepped.pop(name)
+                err = float(np.max(np.abs(ref - X)) / np.max(np.abs(X)))
+                mismatch[name] = max(mismatch.get(name, 0.0), err)
     out = {"n": n, "n_y": n_y, "nnz_per_row": round(A.nnz / n, 2),
            "rule": "sequential" if _kernels.sequential(A) else "blocked"}
     for name in ("rollout", "filter", "smooth"):
@@ -110,6 +126,7 @@ def time_size(n, steps, repeats, rng):
         out[name] = {f"{ev}_us_per_step": v for ev, v in us.items()}
         if len(us) > 1:
             out[name]["faster"] = min(us, key=us.get)
+            out[name]["sequential_vs_blocked_rel"] = float(f"{mismatch[name]:.3g}")
     return out
 
 
@@ -149,6 +166,12 @@ def main(argv=None):
         "sequential_min_n": _kernels.SEQUENTIAL_MIN_N,
         "sizes": [time_size(n, args.steps, args.repeats, rng) for n in args.sizes],
     }
+    bad = [(size["n"], name) for size in result["sizes"] for name in ("filter", "smooth")
+           if not size[name]["sequential_vs_blocked_rel"] <= MAX_MISMATCH]
+    if bad:
+        print(json.dumps(result))
+        sys.exit(f"sequential and blocked scans differ by more than {MAX_MISMATCH:g} "
+                 f"relative at (n, pass) = {bad}")
     if args.out:
         record = {"description": __doc__.splitlines()[0], "runs": []}
         if os.path.exists(args.out):

@@ -1,31 +1,34 @@
 """The affine recursion behind the rollout, the steady filter and the smoother.
 
 All three hot loops have the form x[t+1] = F x[t] + u[t+1]. The callers
-compute the inputs of every step with one matrix product and then run the
-recursion in place on a time-major array X that holds x[0] in its first row
-and the inputs u in the others; with ``reverse=True`` it runs from the last
-row backwards, x[t] = F x[t+1] + u[t]. There are two evaluators of it.
+compute the inputs of every step with record-wide matrix products and then
+run the recursion in place on a time-major array X that holds x[0] in its
+first row and the inputs u in the others; with ``reverse=True`` it runs from
+the last row backwards, x[t] = F x[t+1] + u[t]. There are two evaluators.
 
-``sequential_scan`` steps the recursion one product at a time over a CSR A
-plus an optional rank-r term, F = (I - U W) A:
+The filter and the smoother run in predicted form on one gain and one
+closed loop: the predictor gain K (K_p = A V^- C' S^-1 in ``smoother``) and
+F_p = A - K C. ``sequential_scan`` steps the recursion one product at a time
+over a CSR A plus an optional rank-r term, F = A - U W:
 
-- rollout: x[t+1] = A x[t] + u[t+1];
-- filter: F = (I - K C) A, so each step is xp = A xf[t] (+ B P[t] in the
-  input), less K (C xp), plus K Y[t+1] in the input;
-- smoother: F = F_p' = (I - C' K') A' backwards, U = C' and W = K'.
+- rollout: x[t+1] = A x[t] + u[t+1], u[t+1] = B P[t] (+ noise);
+- filter: F = F_p, U = K and W = C, with u[t+1] = B P[t] + K y[t], so
+  xp[t+1] = A xp[t] + B P[t] + K (y[t] - C xp[t]);
+- smoother: F = F_p' = A' - C' K' backwards, U = C' and W = K'.
 
 Each step is one call of scipy's compiled CSR kernel ``csr_matvec``, which
 adds A x[t] straight into the row of X that holds the step's input: no
 scipy dispatch, no temporary and no separate addition. The gain term forms
-z = (W A) x[t] (n_y values) in a buffer and subtracts U z, a sparse factor
-by the same kernel and a dense one by ``np.dot(..., out=)``. The kernel's
+z = W x[t] (n_y values) in a buffer and subtracts U z, a sparse factor by
+the same kernel and a dense one by ``np.dot(..., out=)``. The kernel's
 contract, pinned by tests/test_kernels.py: y += A x in float64, written
 into the output row in place even when that row is a strided view, with
-int32 or int64 indices.
+int32 or int64 indices. The rollout and the filter add B P[t] over the
+nonzero rows of B only (``_add_input``).
 
 ``affine_scan`` is blocked in time (the block form of a linear prefix scan)
-over a dense F: the filter's (I - K C) A and the smoother's F_p'. With M
-steps and the block length L = round(M^(1/3)):
+over a dense F: the filter's F_p and the smoother's F_p'. With M steps and
+the block length L = round(M^(1/3)):
 
 1. local responses: the response of every block to its own inputs from a
    zero start, as L-1 lock-step products (blocks x n)(n x n) over strided
@@ -42,38 +45,27 @@ products, and agrees with the per-step loop to rounding. The cube-root L
 power of two nearest sqrt(M) that it replaced, and it keeps pace with the
 smoother's chunks.
 
-The smoother has one form at every size, the modified Bryson-Frazier
-adjoint recursion (Bierman, *Factorization Methods for Discrete Sequential
-Estimation*, 1977): mu[t] = F_p' (mu[t+1] + C' S^-1 e[t]) with
-F_p' = (I - C' K') A', the transposed predictor-form closed loop, and
-mu[N-1] = 0; then xs[t] = xf[t] + V^- mu[t]. ``smooth_steady`` runs it in
-chunks of _INPUT_ROWS steps from the record end: the mu rows of a chunk live
-in one buffer above the carry mu[stop] from the chunk after it, and the V^-
-product is one GEMM per chunk written into xf, so the smoothed means
-overwrite the filtered ones and no second record-length array is held. Its
+The filter starts from xp[0] = x1 and reads y[0] as C x1, so its first
+innovation e[0] is 0 and it returns N innovation rows. The smoother has one
+form at every size, the modified Bryson-Frazier adjoint recursion in
+predicted form (Bierman, *Factorization Methods for Discrete Sequential
+Estimation*, 1977): lam[t] = F_p' lam[t+1] + C' S^-1 e[t] with lam[N] = 0;
+then xs[t] = xp[t] + V^- lam[t]. ``smooth_steady`` runs it in chunks of
+_INPUT_ROWS steps from the record end: the lam rows of a chunk live in one
+buffer above the carry lam[stop] from the chunk after it, and the V^-
+product is one GEMM per chunk written into xp, so the smoothed means
+overwrite the predicted ones and no second record-length array is held. Its
 one branch picks the evaluator of a chunk.
 
 The rollout always steps. The filter and the smoother step from
 n >= SEQUENTIAL_MIN_N (the rule ``sequential``) and run the blocked scan
-below it. Per step in us, sequential against blocked (``benchmarks/kernels.py``
-on 3-D grid operators of the module's sizes, N=5000, best of 7 in each of
-two runs, a shared 2-vCPU machine, 2 OpenBLAS threads; ``BENCH_kernels.json``;
-the smoother's blocked figure is its chunked scan over F_p'):
-
-=========  ======================  ======================
-pass       n=817 (paper's module)  n=178 (reduced module)
-=========  ======================  ======================
-rollout    4.3-4.4                 1.5-2.8
-filter     11.4-11.7 vs 36.7-37.3  3.9-7.0 vs 2.3-3.1
-smoother   10.6-11.7 vs 67-79      3.4-6.3 vs 3.2-4.3
-=========  ======================  ======================
-
-The blocked scan's dense lanes cost about n^2 per step, the sequential step
-a fixed call overhead plus the nonzeros of A and 2 n n_y for the gain term.
-On 3-D grid operators with about 7 nonzeros per row and every 20th state
-observed, the filter and smoother passes met between n=250 and n=325 and
-stepped faster from n=325 on in every run, hence SEQUENTIAL_MIN_N = 325
-(the smoother's chunked blocked scan has not been re-timed between them).
+below it. The blocked scan's dense lanes cost about n^2 per step, the
+sequential step a fixed call overhead plus the nonzeros of A and 2 n n_y
+for the gain term. On 3-D grid operators with about 7 nonzeros per row and
+every 20th state observed (``benchmarks/kernels.py``; the per-step table is
+in the README and the runs in ``BENCH_kernels.json``), the filter and
+smoother passes met between n=250 and n=325 and stepped faster from n=325
+on in every run, hence SEQUENTIAL_MIN_N = 325.
 """
 
 from __future__ import annotations
@@ -114,13 +106,13 @@ def _csr_args(M):
 
 
 def sequential_scan(A, X, reverse=False, U=None, W=None):
-    """In place: X[t+1] += (I - U W) A X[t] in time order (X[t] += ... X[t+1]
+    """In place: X[t+1] += (A - U W) X[t] in time order (X[t] += ... X[t+1]
     if reverse); without U and W, F = A. A is sparse; U (n x r) and W (r x n)
     may each be sparse or dense.
 
     Each step adds A x into the next row by one ``csr_matvec`` call. The
-    rank-r term forms z = (W A) x in a buffer and subtracts U z, a sparse
-    factor by ``csr_matvec`` and a dense one by ``np.dot(..., out=)``.
+    rank-r term forms z = W x in a buffer and subtracts U z, a sparse factor
+    by ``csr_matvec`` and a dense one by ``np.dot(..., out=)``.
     """
     M = X.shape[0] - 1
     steps = range(M - 1, -1, -1) if reverse else range(1, M + 1)
@@ -132,9 +124,8 @@ def sequential_scan(A, X, reverse=False, U=None, W=None):
             csr_matvec(*a, prev, cur)
             prev = cur
         return X
-    WA = W @ sp.csr_array(A)
-    sparse_w, sparse_u = sp.issparse(WA), sp.issparse(U)
-    wa = _csr_args(WA) if sparse_w else np.ascontiguousarray(WA)
+    sparse_w, sparse_u = sp.issparse(W), sp.issparse(U)
+    w = _csr_args(W) if sparse_w else np.ascontiguousarray(W)
     # -U so that the kernel subtracts; a dense U column-major, where BLAS's
     # product with a vector ran faster than row-major at n=817.
     u = _csr_args(-U) if sparse_u else np.asfortranarray(U)
@@ -143,9 +134,9 @@ def sequential_scan(A, X, reverse=False, U=None, W=None):
         cur = X[t]
         if sparse_w:
             z.fill(0.0)
-            csr_matvec(*wa, prev, z)
+            csr_matvec(*w, prev, z)
         else:
-            np.dot(wa, prev, out=z)
+            np.dot(w, prev, out=z)
         csr_matvec(*a, prev, cur)
         if sparse_u:
             csr_matvec(*u, z, cur)
@@ -199,6 +190,14 @@ def affine_scan(F, X, reverse=False):
     return X
 
 
+def _add_input(X, B, P):
+    """X[t] += B P[t] over B's nonzero rows only, in row chunks: no record-length temporary."""
+    rows = np.flatnonzero(B.any(axis=1))
+    Bt = B[rows].T
+    for i in range(0, P.shape[0], _INPUT_ROWS):
+        X[i : i + _INPUT_ROWS, rows] += P[i : i + _INPUT_ROWS] @ Bt
+
+
 def rollout(A, B, T1, P, W=None):
     """T[t+1] = A T[t] + B P[t] (+ W[t]); T[0] = T1. P has N-1 rows here.
 
@@ -207,61 +206,53 @@ def rollout(A, B, T1, P, W=None):
     P, B = _c64(P), _c64(B)
     T = np.zeros((P.shape[0] + 1, np.shape(T1)[0]))
     T[0] = T1
-    # B P[t] over the nonzero rows of B only (the other entries stay exact
-    # zeros), in row chunks so that no record-length temporary is made.
-    rows = np.flatnonzero(B.any(axis=1))
-    Bt = B[rows].T
-    for i in range(0, P.shape[0], _INPUT_ROWS):
-        T[1 + i : 1 + i + _INPUT_ROWS, rows] = P[i : i + _INPUT_ROWS] @ Bt
+    _add_input(T[1:], B, P)
     if W is not None:
         T[1:] += W
     return sequential_scan(sp.csr_array(_c64(A)), T)
 
 
 def filter_steady(A, B, C, K, x1, P, Y):
-    """Steady-gain filter means and innovations.
-
-    xf[t+1] = (I - K C)(A xf[t] + B P[t]) + K Y[t+1], and the innovation
-    e[t] = Y[t+1] - C (A xf[t] + B P[t]).
-    """
+    """Predicted means xp[t+1] = F_p xp[t] + B P[t] + K Y[t], F_p = A - K C with K
+    the predictor gain, from xp[0] = x1 with Y[0] read as C x1, and the N
+    innovations e[t] = Y[t] - C xp[t], e[0] = 0."""
     A, B, C, K, P, Y = map(_c64, (A, B, C, K, P, Y))
     N = Y.shape[0]
-    P = P[: N - 1]
-    IKC = np.eye(A.shape[0]) - K @ C
-    xf = np.empty((N, A.shape[0]))
-    xf[0] = x1
-    np.matmul(np.hstack([P, Y[1:]]), np.hstack([IKC @ B, K]).T, out=xf[1:])
+    xp = np.empty((N, A.shape[0]))
+    xp[0] = x1
+    np.matmul(Y[: N - 1], K.T, out=xp[1:])
+    xp[1] = K @ (C @ xp[0])
+    _add_input(xp[1:], B, P[: N - 1])
     if sequential(A):
-        sequential_scan(sp.csr_array(A), xf, U=K, W=sp.csr_array(C))
+        sequential_scan(sp.csr_array(A), xp, U=K, W=sp.csr_array(C))
     else:
-        affine_scan(IKC @ A, xf)
-    innov = Y[1:] - xf[:-1] @ (C @ A).T - P @ (C @ B).T
-    return xf, innov
+        affine_scan(A - K @ C, xp)
+    innov = Y - xp @ C.T
+    innov[0] = 0.0
+    return xp, innov
 
 
-def smooth_steady(A, C, K, Xf, SinvE, V_minus):
-    """Smoother means xs[t] = Xf[t] + V^- mu[t], mu[t] = F_p'(mu[t+1] + C' SinvE[t]),
-    F_p' = (I - C' K') A', mu[N-1] = 0; written over ``Xf`` and returned if it is
-    C-contiguous float64, other layouts are copied first."""
-    A, C, K, SinvE, V_minus, xs = map(_c64, (A, C, K, SinvE, V_minus, Xf))
+def smooth_steady(A, C, K, Xp, SinvE, V_minus):
+    """Smoother means xs[t] = Xp[t] + V^- lam[t], lam[t] = F_p' lam[t+1] + C' SinvE[t],
+    F_p = A - K C, lam[N] = 0, from the predicted means Xp and N rows SinvE;
+    written over ``Xp`` and returned if it is C-contiguous float64, other
+    layouts are copied first."""
+    A, C, K, SinvE, V_minus, xs = map(_c64, (A, C, K, SinvE, V_minus, Xp))
     N = xs.shape[0]
-    # The inputs F_p' C' SinvE[t] as rows: SinvE[t] C A (I - K C).
-    CA = C @ A
-    G_in = CA - (CA @ K) @ C
     if sequential(A):
         scan = partial(sequential_scan, sp.csr_array(A).T.tocsr(), reverse=True,
                        U=sp.csr_array(C.T), W=np.ascontiguousarray(K.T))
     else:
-        scan = partial(affine_scan, A.T - C.T @ (A @ K).T, reverse=True)  # F_p'
-    # Z holds mu over the rows [start, stop) of one chunk in time order, and
-    # below them the carry mu[stop] (zero for the last chunk of the record).
-    rows = min(_INPUT_ROWS, max(N - 1, 1))
-    mu = np.zeros((rows + 1, A.shape[0]))
-    for stop in range(N - 1, 0, -rows):
+        scan = partial(affine_scan, (A - K @ C).T, reverse=True)  # F_p'
+    # Z holds lam over the rows [start, stop) of one chunk in time order, and
+    # below them the carry lam[stop] (zero for the last chunk of the record).
+    rows = min(_INPUT_ROWS, N)
+    lam = np.zeros((rows + 1, A.shape[0]))
+    for stop in range(N, 0, -rows):
         start = max(stop - rows, 0)
-        Z = mu[rows - (stop - start) :]
-        body = np.matmul(SinvE[start:stop], G_in, out=Z[:-1])
+        Z = lam[rows - (stop - start) :]
+        body = np.matmul(SinvE[start:stop], C, out=Z[:-1])  # the inputs C' SinvE[t]
         scan(Z)
         xs[start:stop] += body @ V_minus.T
-        mu[-1] = Z[0]
+        lam[-1] = Z[0]
     return xs

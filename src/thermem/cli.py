@@ -79,7 +79,6 @@ def cmd_generate(args) -> int:
     if wrote_truth:
         tio.write_trajectory_csv(truth_path, traj, full_state=True)
 
-    observed = [c.index for c in exp.mesh.compartments if c.observed]
     layer_counts = {
         str(lyr): len(exp.mesh.indices(layer=lyr)) for lyr in range(1, exp.mesh.nz + 1)
     }
@@ -92,7 +91,7 @@ def cmd_generate(args) -> int:
             "scheme": exp.scheme_name,
             "n_compartments": exp.mesh.n_compartments,
             "layer_counts": layer_counts,
-            "observed_indices": observed,
+            "observed_indices": exp.mesh.observed_indices,
             "source_indices": [c.index for c in exp.mesh.compartments if c.has_source],
             "theta_true": {"k": theta_true.k, "z": theta_true.z, "dtau": theta_true.dtau},
             "noise": {"kind": noise.kind, "sigma2": noise.sigma2},
@@ -111,11 +110,16 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _read_dataset(args, exp: Experiment):
+    """Path and trajectory of --data (default: the output directory): a CSV or a dir with dataset.csv."""
+    data_dir = args.data or exp.out_dir
+    path = data_dir if data_dir.endswith(".csv") else os.path.join(data_dir, "dataset.csv")
+    return path, tio.read_trajectory_csv(path)
+
+
 def cmd_identify(args) -> int:
     exp = _experiment(args)
-    data_dir = args.data or exp.out_dir
-    data_path = data_dir if data_dir.endswith(".csv") else os.path.join(data_dir, "dataset.csv")
-    traj = tio.read_trajectory_csv(data_path)
+    data_path, traj = _read_dataset(args, exp)
 
     manifest_path = os.path.join(os.path.dirname(data_path), "manifest.json")
     R = None
@@ -140,7 +144,6 @@ def cmd_identify(args) -> int:
     tio.write_constraint_json(os.path.join(out, "constraint.json"), constraint)
     tio.write_trace_csv(os.path.join(out, "trace.csv"), trace)
     status = trace.stop_reason
-    observed = [c.index for c in exp.mesh.compartments if c.observed]
     tio.write_manifest(
         os.path.join(out, "summary.json"),
         {
@@ -152,7 +155,7 @@ def cmd_identify(args) -> int:
             "extrapolations_rejected": sum(trace.rejected),
             "constraint": exp.constraint,
             "scheme": exp.scheme_name,
-            "observed_indices": observed,
+            "observed_indices": exp.mesh.observed_indices,
             "theta": {"k": theta.k, "z": theta.z, "dtau": theta.dtau},
         },
     )
@@ -173,12 +176,10 @@ def cmd_predict(args) -> int:
     theta_path = args.theta or os.path.join(exp.out_dir, "theta.json")
     theta = tio.read_theta_json(theta_path)
 
-    data_dir = args.data or exp.out_dir
-    data_path = data_dir if data_dir.endswith(".csv") else os.path.join(data_dir, "dataset.csv")
-    traj = tio.read_trajectory_csv(data_path)
+    data_path, traj = _read_dataset(args, exp)
 
     ops = build_operators(exp.mesh, exp.scheme)
-    observed = [c.index for c in exp.mesh.compartments if c.observed]
+    observed = exp.mesh.observed_indices
     model = assemble(ops, theta, observed, Q=0.0, R=0.0)
     T_1 = initial_state_from_observation(
         traj.y[0], observed, exp.mesh.ambient_index, ops.n

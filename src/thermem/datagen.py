@@ -344,14 +344,13 @@ def generate_dataset(
     if N < 2:
         raise ValueError("dataset needs N >= 2")
     ops = ops or build_operators(mesh, scheme)
-    observed = [c.index for c in mesh.compartments if c.observed]
     if P is None:
         P = toy_inputs(spec, mesh, N) if spec is not None else default_inputs(N, ops.n_P)
     P = np.asarray(P, dtype=np.float64)
     if P.shape[0] != N:
         raise ValueError(f"inputs must have N={N} rows, got {P.shape[0]}")
 
-    model = assemble(ops, theta_true, observed, R=0.0 if noise.noiseless else meas_var)
+    model = assemble(ops, theta_true, mesh.observed_indices, R=0.0 if noise.noiseless else meas_var)
     model = replace(model, Q=process_covariance(noise, model.A, mesh.ambient_index))
     T_1 = np.full(ops.n, ToySpec.ambient_temp)
     traj = simulate(model, T_1, P, seed=seed, noiseless=noise.noiseless)

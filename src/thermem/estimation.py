@@ -350,7 +350,7 @@ class EmProblem:
 def em_setup(mesh: CompartmentMesh, scheme: SharingScheme, data, cfg: EmConfig, constraint: str):
     """The problem ``run_em`` iterates on and its initial (theta, constraint)."""
     ops = build_operators(mesh, scheme)
-    observed = [c.index for c in mesh.compartments if c.observed]
+    observed = mesh.observed_indices
     if not observed:
         raise ConfigurationError("mesh has no observed compartments")
     Y = np.atleast_2d(np.asarray(data.y, dtype=np.float64))

@@ -99,6 +99,11 @@ class CompartmentMesh:
     def n_compartments(self) -> int:
         return len(self.compartments)
 
+    @property
+    def observed_indices(self) -> list:
+        """Observed compartment indices in index order, the order of C's rows."""
+        return [c.index for c in self.compartments if c.observed]
+
     def indices(self, role: Optional[str] = None, layer: Optional[int] = None):
         """Compartment indices filtered by role and/or layer, in index order."""
         out = []

@@ -2,26 +2,31 @@
 
 Every covariance of the textbook two-pass recursion is replaced by its
 stationary limit: the predicted covariance V^- comes from the DARE, and both
-passes then propagate means only. The smoothed means overwrite the filtered
+passes then propagate means only. The smoothed means overwrite the predicted
 ones, so memory is one N x n array of means plus O(n^2).
 
-The backward pass has one form at every size, the modified Bryson-Frazier
-adjoint recursion (Bierman, *Factorization Methods for Discrete Sequential
-Estimation*, 1977). With the filter gain K = V^- C' S^-1, S = C V^- C' + R
-and the predictor closed loop F_p = A (I - K C), one Stein solve gives
+Both passes run in predicted form (Anderson & Moore, *Optimal Filtering*,
+1979, ch. 3) on one gain and one closed loop: the predictor gain
+K_p = A V^- C' S^-1, S = C V^- C' + R (the gain of the DARE's Newton step,
+``solvers._riccati_defect``), and F_p = A - K_p C. The filter runs
+xp[t+1] = F_p xp[t] + B P[t] + K_p y[t] from xp[0] = x_1, with y[0] read as
+C x_1 so that the innovation e[0] is 0. The backward pass is the modified
+Bryson-Frazier adjoint recursion (Bierman, *Factorization Methods for
+Discrete Sequential Estimation*, 1977), lam[t] = F_p' lam[t+1] + C' S^-1 e[t]
+from lam[N] = 0, and xs[t] = xp[t] + V^- lam[t] (``_kernels.smooth_steady``).
+One Stein solve in the same F_p gives
 
     Lambda = F_p' Lambda F_p + C' S^-1 C,
     V_S^N = V^- - V^- Lambda V^-,
-    Cov(x[t], x[t+1] | Y) = G' - (V^- Lambda G)',  G = A V^+,
+    Cov(x[t], x[t+1] | Y) = G' - (V^- Lambda G)',  G = A V^+ = A V^- - K_p C V^-,
 
-with no inverse of V^-, and the means run mu[t] = F_p'(mu[t+1] + C' S^-1 e[t])
-backwards, adding V^- mu[t] to the filtered means (``_kernels.smooth_steady``).
-One Cholesky factor of S serves K, the rows S^-1 e[t], the log-likelihood
-and C' S^-1 C. On the 178-compartment module (q from 1e-2 to 1e-8, R 1e-6
-and 1e-12) both covariances lie within 2.8e-14 (relative) of scipy's
-solution of the RTS form's Lyapunov equation in J = V^+ A' (V^-)^-1; that
-equation's right-hand side is small enough to meet ``solve_dlyap``'s
-absolute floor, and solved by it, it was 1.1e-10 to 3.5e-10 off for q <= 1e-4.
+with no inverse of V^- and no filter gain or V^+ formed. One Cholesky factor
+of S serves K_p, the rows S^-1 e[t], the log-likelihood and C' S^-1 C. On the
+178-compartment module (q from 1e-2 to 1e-8, R 1e-6 and 1e-12) both
+covariances lie within 2.8e-14 (relative) of scipy's solution of the RTS
+form's Lyapunov equation in J = V^+ A' (V^-)^-1 (``solve_dlyap``, whose
+tolerance is absolute for that equation's small W, was 1.1e-10 to 3.5e-10
+off for q <= 1e-4).
 
 The smoother takes the initial state as known (x_1 = T_1) and uses the
 steady filtered covariance as the initial covariance, so the forward pass is
@@ -51,7 +56,6 @@ class SmootherOutput:
 
     x_smooth: np.ndarray
     V_S_minus: np.ndarray
-    V_S_plus: np.ndarray
     V_S_N: np.ndarray
     V_S_lag: np.ndarray  # Cov(x[t], x[t+1] | Y)
     loglik: float
@@ -93,8 +97,7 @@ def _check_inputs(model: StateSpaceModel, Y, P, T_1):
 
 
 def rtss_steady(model: StateSpaceModel, Y, P, T_1, V0=None) -> SmootherOutput:
-    """Two-pass smoother with stationary gain K and adjoint covariance Lambda;
-    ``V0`` warm-starts the DARE."""
+    """Two-pass steady smoother in predicted form; ``V0`` warm-starts the DARE."""
     Y, P_dyn, T_1, N = _check_inputs(model, Y, P, T_1)
     A, C, Q, R = model.A, model.C, model.Q, model.R
 
@@ -109,28 +112,26 @@ def rtss_steady(model: StateSpaceModel, Y, P, T_1, V0=None) -> SmootherOutput:
     L_inv = np.linalg.inv(L)
     S_inv = L_inv.T @ L_inv
     Sinv_C = S_inv @ C
-    K = V_minus @ Sinv_C.T
-    V_plus = V_minus - K @ (C @ V_minus)
-    V_plus = (V_plus + V_plus.T) / 2
+    AV = A @ V_minus
+    K_p = AV @ Sinv_C.T
+    F_p = A - K_p @ C
 
-    xf, innov = _kernels.filter_steady(A, model.B, C, K, T_1, P_dyn, Y)
+    xp, innov = _kernels.filter_steady(A, model.B, C, K_p, T_1, P_dyn, Y)
     SinvE = innov @ S_inv
     quad = float(np.sum(SinvE * innov))
-    del innov  # SinvE takes its place: one (N-1) x n_y array stays
+    del innov  # SinvE takes its place: one N x n_y array stays
     logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
     loglik = -0.5 * (quad + (N - 1) * (logdet + model.n_y * np.log(2.0 * np.pi)))
 
-    # Lambda = F_p' Lambda F_p + C' S^-1 C with F_p = A (I - K C); the steady
-    # Lambda already holds the C' S^-1 C term, so V_S^N = V^- - V^- Lambda V^-.
-    F_p = A - (A @ K) @ C
+    # The steady Lambda already holds the C' S^-1 C term, so
+    # V_S^N = V^- - V^- Lambda V^-.
     VL = V_minus @ solve_dlyap(F_p.T, C.T @ Sinv_C)
     V_S_N = V_minus - VL @ V_minus
-    G = A @ V_plus
+    G = AV - K_p @ (C @ V_minus)  # A V^+
 
     return SmootherOutput(
-        x_smooth=_kernels.smooth_steady(A, C, K, xf, SinvE, V_minus),
+        x_smooth=_kernels.smooth_steady(A, C, K_p, xp, SinvE, V_minus),
         V_S_minus=V_minus,
-        V_S_plus=V_plus,
         V_S_N=(V_S_N + V_S_N.T) / 2,
         V_S_lag=(G - VL @ G).T,
         loglik=loglik,

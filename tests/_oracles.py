@@ -215,16 +215,32 @@ def smooth_loop(A, B, J, Xf, P):
     return xs
 
 
-def adjoint_loop(A, C, K, Xf, SinvE, V_minus):
+def predictor_loop(A, B, C, K, x1, P, Y):
+    """Textbook steady-gain filter in predictor form, K the predictor gain:
+    e[t] = Y[t] - C xp[t], xp[t+1] = A xp[t] + B P[t] + K e[t], from
+    xp[0] = x1 with e[0] = 0."""
+    N = Y.shape[0]
+    xp = np.empty((N, len(x1)))
+    innov = np.zeros((N, C.shape[0]))
+    xp[0] = x1
+    for t in range(N - 1):
+        if t > 0:
+            innov[t] = Y[t] - C @ xp[t]
+        xp[t + 1] = A @ xp[t] + B @ P[t] + K @ innov[t]
+    innov[N - 1] = Y[N - 1] - C @ xp[N - 1]
+    return xp, innov
+
+
+def adjoint_loop(A, C, K, Xp, SinvE, V_minus):
     """Steady-gain smoother in the modified Bryson-Frazier adjoint form, one
-    step at a time: mu[t] = F_p'(mu[t+1] + C' SinvE[t]) with F_p = A (I - K C)
-    and mu[N-1] = 0, then xs[t] = Xf[t] + V^- mu[t]."""
-    F_p = A @ (np.eye(A.shape[0]) - K @ C)
-    xs = np.array(Xf, dtype=np.float64)
-    mu = np.zeros(A.shape[0])
-    for t in range(xs.shape[0] - 2, -1, -1):
-        mu = F_p.T @ (mu + C.T @ SinvE[t])
-        xs[t] += V_minus @ mu
+    step at a time: lam[t] = F_p' lam[t+1] + C' SinvE[t] with F_p = A - K C,
+    K the predictor gain and lam[N] = 0, then xs[t] = Xp[t] + V^- lam[t]."""
+    F_p = A - K @ C
+    xs = np.array(Xp, dtype=np.float64)
+    lam = np.zeros(A.shape[0])
+    for t in range(xs.shape[0] - 1, -1, -1):
+        lam = F_p.T @ lam + C.T @ SinvE[t]
+        xs[t] += V_minus @ lam
     return xs
 
 

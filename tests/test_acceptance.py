@@ -90,7 +90,7 @@ def identify(mesh, scheme, truth, N_id, constraint, max_iter, R, theta_tol=1e-9)
 
 def predict_full_horizon(mesh, scheme, theta, truth):
     ops = build_operators(mesh, scheme)
-    observed = [c.index for c in mesh.compartments if c.observed]
+    observed = mesh.observed_indices
     model = assemble(ops, theta, observed, Q=0.0, R=0.0)
     T_1 = initial_state_from_observation(
         truth.y[0], observed, mesh.ambient_index, ops.n
@@ -260,7 +260,7 @@ def test_steady_estep_exact_up_to_end_of_record_term(reduced, system):
         traj, _ = generate_dataset(
             mesh, strong, strong_theta(spec), NoiseSpec.AAt(1e-4), N, seed=5, spec=spec
         )
-        observed = [c.index for c in mesh.compartments if c.observed]
+        observed = mesh.observed_indices
         model = assemble(
             build_operators(mesh, strong), strong_theta(spec), observed,
             Q=1e-4, R=spec.meas_var,
@@ -269,8 +269,11 @@ def test_steady_estep_exact_up_to_end_of_record_term(reduced, system):
     steady = rtss_steady(model, traj.y, traj.P, traj.T[0])
     stats = accumulate_stats(steady, traj.P)
 
-    J = np.linalg.solve(steady.V_S_minus, model.A @ steady.V_S_plus).T  # J_S
-    D = steady.V_S_plus - steady.V_S_N  # D_{N-1}
+    V_minus, C = steady.V_S_minus, model.C
+    V_plus = V_minus - np.linalg.solve(C @ V_minus @ C.T + model.R, C @ V_minus).T @ (C @ V_minus)
+    V_plus = (V_plus + V_plus.T) / 2
+    J = np.linalg.solve(V_minus, model.A @ V_plus).T  # J_S
+    D = V_plus - steady.V_S_N  # D_{N-1}
     dXX, dZZ, dXZ = np.zeros_like(D), D.copy(), np.zeros_like(D)
     for t in range(N - 2, -1, -1):
         dXZ += J @ D  # J_S D_{t+1}
@@ -394,7 +397,7 @@ def test_criterion_7_structural_invariants(reduced):
     ops = build_operators(mesh, weak)
     rng = np.random.default_rng(5)
     theta = ThetaParams(k=weak_theta(spec).k, z=weak_theta(spec).z)
-    observed = [c.index for c in mesh.compartments if c.observed]
+    observed = mesh.observed_indices
     model = assemble(ops, theta, observed, Q=0.0, R=0.0)
 
     row_err = np.abs(model.A.sum(axis=1) - 1.0).max()

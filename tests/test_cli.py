@@ -367,7 +367,7 @@ def test_config_refine_list_and_observe_entries():
     assert mesh.n_compartments == 12
     children = [c for c in mesh.compartments if c.span == 1]
     assert [(c.layer, c.ox, c.oy) for c in children] == [(2, 2, 2), (2, 3, 2), (2, 2, 3), (2, 3, 3)]
-    assert [c.index for c in mesh.compartments if c.observed] == [0, 1, *range(4, 12)]
+    assert mesh.observed_indices == [0, 1, *range(4, 12)]
 
 
 def test_identify_constraint_flag_overrides_config(tmp_path):

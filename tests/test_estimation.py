@@ -57,7 +57,7 @@ def zero_stats(n, n_P, N=5):
 
 def stats_from_run(mesh, scheme, ops, rng, N=30, q=1e-3, r=1e-5):
     theta_true = ThetaParams(k=[0.08, 0.05], z=[0.4])
-    observed = [c.index for c in mesh.compartments if c.observed]
+    observed = mesh.observed_indices
     model = assemble(ops, theta_true, observed, Q=q, R=r)
     P = rng.uniform(0.0, 2.0, (N, ops.n_P))
     traj = simulate(model, np.full(ops.n, 25.0), P, seed=11)

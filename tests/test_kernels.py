@@ -7,13 +7,14 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from _oracles import adjoint_loop, affine_loop, filter_loop, rollout_loop, smooth_loop
+from _oracles import adjoint_loop, affine_loop, filter_loop, predictor_loop, rollout_loop, smooth_loop
 from thermem import _kernels as K
 from thermem.datagen import ToySpec, build_toy, strong_theta, toy_inputs
 from thermem.errors import DivergenceError
 from thermem.graph import build_operators
 from thermem.model import StateSpaceModel, assemble, predict, simulate
 from thermem.smoother import rtss_steady
+from thermem.solvers import DareProblem, _riccati_defect
 
 # Record lengths: the shortest ones, the three around a whole number of
 # blocks (47, 48 and 49 steps; 48 is 12 blocks of 4), one more step, and a
@@ -48,15 +49,18 @@ def make_system(kind):
     make = stable_matrix if kind == "stable" else marginal_matrix
     A = make(rng, n)
     C = np.eye(n)[[0, 5, n - 1]]
-    # Stationary Kalman gain, so the filter's closed loop (I - K C) A and the
-    # smoother's A (I - K C) are stable.
+    # Stationary gains: K the predictor gain A V C' S^-1, so that the closed
+    # loop F_p = A - K C is stable, and Kf = V C' S^-1 the filter gain of the
+    # textbook loops that cross-check it.
     V = sla.solve_discrete_are(A.T, C.T, 1e-2 * np.eye(n), 1e-3 * np.eye(n_y))
     S = C @ V @ C.T + 1e-3 * np.eye(n_y)
+    Kf = V @ C.T @ np.linalg.inv(S)
     return dict(
         A=A,
         B=rng.normal(size=(n, n_P)),
         C=C,
-        K=V @ C.T @ np.linalg.inv(S),
+        K=A @ Kf,
+        Kf=Kf,
         V=V,
         S=S,
         x1=rng.normal(25, 3, n),
@@ -100,13 +104,18 @@ def test_rollout_matches_loop(system, N, with_W):
 def test_filter_and_smoother_match_loops(system, N):
     s = system
     P, Y, _ = inputs(system, N)
-    xf, innov = K.filter_steady(s["A"], s["B"], s["C"], s["K"], s["x1"], P, Y)
-    xf_ref, innov_ref = filter_loop(s["A"], s["B"], s["C"], s["K"], s["x1"], P, Y)
-    assert rel_err(xf, xf_ref) <= RTOL
+    xp, innov = K.filter_steady(s["A"], s["B"], s["C"], s["K"], s["x1"], P, Y)
+    xp_ref, innov_ref = predictor_loop(s["A"], s["B"], s["C"], s["K"], s["x1"], P, Y)
+    assert rel_err(xp, xp_ref) <= RTOL
     assert rel_err(innov, innov_ref) <= RTOL
+    assert not innov[0].any()
+    # The predictor form against the textbook filter: xf[t] = xp[t] + Kf e[t].
+    xf_ref, innov_f = filter_loop(s["A"], s["B"], s["C"], s["Kf"], s["x1"], P, Y)
+    assert rel_err(xp + innov @ s["Kf"].T, xf_ref) <= RTOL
+    assert rel_err(innov[1:], innov_f) <= RTOL
     SinvE = np.linalg.solve(s["S"], innov_ref.T).T
-    xs = K.smooth_steady(s["A"], s["C"], s["K"], xf_ref.copy(), SinvE, s["V"])
-    assert rel_err(xs, adjoint_loop(s["A"], s["C"], s["K"], xf_ref, SinvE, s["V"])) <= RTOL
+    xs = K.smooth_steady(s["A"], s["C"], s["K"], xp_ref.copy(), SinvE, s["V"])
+    assert rel_err(xs, adjoint_loop(s["A"], s["C"], s["K"], xp_ref, SinvE, s["V"])) <= RTOL
 
 
 @pytest.mark.parametrize("N", LENGTHS + CHUNK_LENGTHS)
@@ -118,26 +127,26 @@ def test_smooth_steady_matches_adjoint_loop(system, N, evaluator, monkeypatch):
     if evaluator == "sequential":
         monkeypatch.setattr(K, "SEQUENTIAL_MIN_N", 0)
     assert K.sequential(s["A"]) == (evaluator == "sequential")
-    Xf = s["rng"].normal(25, 3, (N, s["A"].shape[0]))
-    SinvE = s["rng"].normal(size=(N - 1, s["C"].shape[0]))
-    ref = adjoint_loop(s["A"], s["C"], s["K"], Xf, SinvE, s["V"])
-    assert rel_err(K.smooth_steady(s["A"], s["C"], s["K"], Xf, SinvE, s["V"]), ref) <= RTOL
+    Xp = s["rng"].normal(25, 3, (N, s["A"].shape[0]))
+    SinvE = s["rng"].normal(size=(N, s["C"].shape[0]))
+    ref = adjoint_loop(s["A"], s["C"], s["K"], Xp, SinvE, s["V"])
+    assert rel_err(K.smooth_steady(s["A"], s["C"], s["K"], Xp, SinvE, s["V"]), ref) <= RTOL
 
 
 def test_smooth_steady_overwrites_only_c_contiguous_float64_means():
     s = make_system("stable")
     P, Y, _ = inputs(s, 300)
-    xf, innov = filter_loop(s["A"], s["B"], s["C"], s["K"], s["x1"], P, Y)
+    xp, innov = predictor_loop(s["A"], s["B"], s["C"], s["K"], s["x1"], P, Y)
     SinvE = np.linalg.solve(s["S"], innov.T).T
-    ref = adjoint_loop(s["A"], s["C"], s["K"], xf, SinvE, s["V"])
-    Xf = xf.copy()
-    assert K.smooth_steady(s["A"], s["C"], s["K"], Xf, SinvE, s["V"]) is Xf
-    assert rel_err(Xf, ref) <= RTOL
-    Xf_f = np.asfortranarray(xf)
-    xs = K.smooth_steady(s["A"], s["C"], s["K"], Xf_f, SinvE, s["V"])
-    assert xs is not Xf_f
-    np.testing.assert_array_equal(Xf_f, xf)
-    np.testing.assert_array_equal(xs, Xf)
+    ref = adjoint_loop(s["A"], s["C"], s["K"], xp, SinvE, s["V"])
+    Xp = xp.copy()
+    assert K.smooth_steady(s["A"], s["C"], s["K"], Xp, SinvE, s["V"]) is Xp
+    assert rel_err(Xp, ref) <= RTOL
+    Xp_f = np.asfortranarray(xp)
+    xs = K.smooth_steady(s["A"], s["C"], s["K"], Xp_f, SinvE, s["V"])
+    assert xs is not Xp_f
+    np.testing.assert_array_equal(Xp_f, xp)
+    np.testing.assert_array_equal(xs, Xp)
 
 
 def test_wrappers_accept_noncontiguous_inputs():
@@ -146,8 +155,8 @@ def test_wrappers_accept_noncontiguous_inputs():
     A_f, K_f = np.asfortranarray(s["A"]), np.asfortranarray(s["K"])
     P2 = np.repeat(P, 2, axis=0)[::2]
     Y_f = np.asfortranarray(Y)
-    xf, innov = filter_loop(s["A"], s["B"], s["C"], s["K"], s["x1"], P, Y)
-    xf_f, SinvE = np.asfortranarray(xf), np.linalg.solve(s["S"], innov.T).T
+    xp, innov = predictor_loop(s["A"], s["B"], s["C"], s["K"], s["x1"], P, Y)
+    xp_f, SinvE = np.asfortranarray(xp), np.linalg.solve(s["S"], innov.T).T
     np.testing.assert_array_equal(
         K.rollout(A_f, s["B"], s["x1"], P2, np.asfortranarray(W)), K.rollout(s["A"], s["B"], s["x1"], P, W)
     )
@@ -157,8 +166,8 @@ def test_wrappers_accept_noncontiguous_inputs():
     ):
         np.testing.assert_array_equal(a, b)
     np.testing.assert_array_equal(
-        K.smooth_steady(A_f, s["C"], K_f, xf_f, np.repeat(SinvE, 2, axis=0)[::2], s["V"]),
-        K.smooth_steady(s["A"], s["C"], s["K"], xf.copy(), np.ascontiguousarray(SinvE), s["V"]),
+        K.smooth_steady(A_f, s["C"], K_f, xp_f, np.repeat(SinvE, 2, axis=0)[::2], s["V"]),
+        K.smooth_steady(s["A"], s["C"], s["K"], xp.copy(), np.ascontiguousarray(SinvE), s["V"]),
     )
 
 
@@ -193,8 +202,7 @@ def test_full_module_prediction_matches_loop():
     over 2000 steps and the 178-compartment one over an 18000-step prediction."""
     for spec, N in ((ToySpec.full(), 2000), (ToySpec.reduced(), 18000)):
         mesh, _, strong = build_toy(spec)
-        observed = [c.index for c in mesh.compartments if c.observed]
-        model = assemble(build_operators(mesh, strong), strong_theta(spec), observed, R=0.0)
+        model = assemble(build_operators(mesh, strong), strong_theta(spec), mesh.observed_indices, R=0.0)
         P = toy_inputs(spec, mesh, N)
         T1 = np.full(model.n, ToySpec.ambient_temp)
         T = predict(model, T1, P).T
@@ -209,13 +217,14 @@ ADJOINT_RTOL = 1e-9
 
 
 def steady_set(A, C, Q, R):
-    """Predicted covariance V, innovation covariance S, gain K and RTS gain J of the steady smoother."""
+    """Predicted covariance V, innovation covariance S, filter gain Kf and
+    RTS gain J = V^+ A' V^-1 of the steady smoother."""
     V = sla.solve_discrete_are(A.T, C.T, Q, R)
     V = (V + V.T) / 2
     S = C @ V @ C.T + R
-    K_gain = np.linalg.solve(S, C @ V).T
-    J = np.linalg.solve(V, A @ (V - K_gain @ (C @ V))).T
-    return V, S, K_gain, J
+    Kf = np.linalg.solve(S, C @ V).T
+    J = np.linalg.solve(V, A @ (V - Kf @ (C @ V))).T
+    return V, S, Kf, J
 
 
 @pytest.mark.parametrize("N", SEQUENTIAL_LENGTHS)
@@ -223,9 +232,9 @@ def steady_set(A, C, Q, R):
 @pytest.mark.parametrize("rank", [0, 3])
 def test_sequential_scan_matches_loop_and_blocked_scan(system, N, reverse, rank):
     A, n = system["A"], system["A"].shape[0]
-    # The rank-3 term as the filter passes it: (I - K C) A with a CSR C.
+    # The rank-3 term as the filter passes it: F_p = A - K C with a CSR C.
     U, W = (system["K"], sp.csr_array(system["C"])) if rank else (None, None)
-    F = (np.eye(n) - system["K"] @ system["C"]) @ A if rank else A
+    F = A - system["K"] @ system["C"] if rank else A
     X = system["rng"].normal(size=(N, n))
     out = X.copy()
     assert K.sequential_scan(sp.csr_array(A), out, reverse, U, W) is out
@@ -251,8 +260,8 @@ def test_compiled_step_contract(system, reverse, factors, index_dtype, rows):
     # The filter's form with a CSR W = C, and the smoother's with a CSR U = C'.
     U, W, F = {
         "rank0": (None, None, A),
-        "csr_W": (K_gain, with_index_dtype(C, index_dtype), (np.eye(n) - K_gain @ C) @ A),
-        "csr_U": (with_index_dtype(C.T, index_dtype), K_gain.T, (np.eye(n) - C.T @ K_gain.T) @ A),
+        "csr_W": (K_gain, with_index_dtype(C, index_dtype), A - K_gain @ C),
+        "csr_U": (with_index_dtype(C.T, index_dtype), K_gain.T, A - C.T @ K_gain.T),
     }[factors]
     A_csr = with_index_dtype(A, index_dtype)
     assert sp.csr_array(A_csr).indices.dtype == index_dtype
@@ -269,13 +278,13 @@ def test_compiled_step_contract(system, reverse, factors, index_dtype, rows):
 def test_adjoint_smoother_matches_j_form_loop(system, N):
     s = system
     A, B, C, n = s["A"], s["B"], s["C"], s["A"].shape[0]
-    V, S, K_gain, J = steady_set(A, C, 1e-2 * np.eye(n), 1e-3 * np.eye(C.shape[0]))
+    V, S, Kf, J = steady_set(A, C, 1e-2 * np.eye(n), 1e-3 * np.eye(C.shape[0]))
     P, Y, _ = inputs(system, N)
-    xf, innov = filter_loop(A, B, C, K_gain, s["x1"], P, Y)
+    xp, innov = K.filter_steady(A, B, C, A @ Kf, s["x1"], P, Y)
     SinvE = np.linalg.solve(S, innov.T).T
-    Xf = xf.copy()
-    assert K.smooth_steady(A, C, K_gain, Xf, SinvE, V) is Xf
-    assert rel_err(Xf, smooth_loop(A, B, J, xf, P)) <= ADJOINT_RTOL
+    assert K.smooth_steady(A, C, A @ Kf, xp, SinvE, V) is xp
+    xf, _ = filter_loop(A, B, C, Kf, s["x1"], P, Y)
+    assert rel_err(xp, smooth_loop(A, B, J, xf, P)) <= ADJOINT_RTOL
 
 
 @pytest.mark.parametrize("evaluator", ["blocked", "sequential"])
@@ -285,29 +294,33 @@ def test_adjoint_smoother_adds_no_record_length_array(evaluator, monkeypatch):
     if evaluator == "sequential":
         monkeypatch.setattr(K, "SEQUENTIAL_MIN_N", 0)
     assert K.sequential(A) == (evaluator == "sequential")
-    Xf = s["rng"].normal(size=(N, n))
-    SinvE = s["rng"].normal(size=(N - 1, C.shape[0]))
+    Xp = s["rng"].normal(size=(N, n))
+    SinvE = s["rng"].normal(size=(N, C.shape[0]))
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        K.smooth_steady(A, C, s["K"], Xf, SinvE, s["V"])
+        K.smooth_steady(A, C, s["K"], Xp, SinvE, s["V"])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 0.5 * N * n * 8
 
 
-@pytest.fixture(scope="module", params=["reduced", "full"])
-def toy_case(request):
+def toy_setup(kind):
     """The strong-scheme toy model with qI process noise and a simulated record
     of 1200 steps, so that the adjoint smoother runs two row chunks."""
-    spec = ToySpec.reduced() if request.param == "reduced" else ToySpec.full()
+    spec = ToySpec.reduced() if kind == "reduced" else ToySpec.full()
     mesh, _, strong = build_toy(spec)
-    observed = [c.index for c in mesh.compartments if c.observed]
-    model = assemble(build_operators(mesh, strong), strong_theta(spec), observed, Q=1e-3, R=spec.meas_var)
+    model = assemble(build_operators(mesh, strong), strong_theta(spec), mesh.observed_indices,
+                     Q=1e-3, R=spec.meas_var)
     T1 = np.full(model.n, ToySpec.ambient_temp)
     traj = simulate(model, T1, toy_inputs(spec, mesh, 1200), seed=7)
     return model, traj, T1
+
+
+@pytest.fixture(scope="module", params=["reduced", "full"])
+def toy_case(request):
+    return toy_setup(request.param)
 
 
 def test_adjoint_smoother_matches_j_form_on_toy_modules(toy_case):
@@ -316,13 +329,35 @@ def test_adjoint_smoother_matches_j_form_on_toy_modules(toy_case):
     out = rtss_steady(model, traj.y, traj.P, T1)
     V = out.V_S_minus
     S = C @ V @ C.T + model.R
-    K_gain = np.linalg.solve(S, C @ V).T
-    J = np.linalg.solve(V, A @ out.V_S_plus).T
-    xf, innov = filter_loop(A, B, C, K_gain, T1, P, traj.y)
+    Kf = np.linalg.solve(S, C @ V).T
+    J = np.linalg.solve(V, A @ (V - Kf @ (C @ V))).T
+    xf, _ = filter_loop(A, B, C, Kf, T1, P, traj.y)
     ref = smooth_loop(A, B, J, xf, P)
-    xs = K.smooth_steady(A, C, K_gain, xf.copy(), np.linalg.solve(S, innov.T).T, V)
+    xp, innov = K.filter_steady(A, B, C, A @ Kf, T1, P, traj.y)
+    xs = K.smooth_steady(A, C, A @ Kf, xp, np.linalg.solve(S, innov.T).T, V)
     assert rel_err(xs, ref) <= ADJOINT_RTOL
     assert rel_err(out.x_smooth, ref) <= ADJOINT_RTOL
+
+
+def test_steady_smoother_hands_the_dare_predictor_gain_to_the_filter(monkeypatch):
+    """``rtss_steady`` runs the filter on the predictor gain of the DARE's
+    Newton step, A V^- C' S^-1, and the filter's first innovation is 0."""
+    model, traj, T1 = toy_setup("reduced")
+    seen = {}
+    filter_steady = K.filter_steady
+
+    def spy(*args):
+        seen["K"] = args[3]
+        out = filter_steady(*args)
+        seen["innov"] = out[1]
+        return out
+
+    monkeypatch.setattr(K, "filter_steady", spy)
+    out = rtss_steady(model, traj.y, traj.P, T1)
+    p = DareProblem(A=model.A, C=model.C, Q=model.Q, R=model.R)
+    assert rel_err(seen["K"], _riccati_defect(out.V_S_minus, p)[1]) <= RTOL
+    assert seen["innov"].shape == (traj.y.shape[0], model.n_y)
+    assert not seen["innov"][0].any()
 
 
 def test_rule_is_blocked_at_178_and_sequential_at_817(toy_case, monkeypatch):

@@ -230,3 +230,9 @@ def test_adjacency_matches_pair_loop_on_random_refined_grids():
         dims, role_map, picked = random_grid(seed)
         m = build_grid(*dims, role_map=role_map, prune=True, refine=picked)
         assert list(m.adjacency) == adjacency_pairs(m), f"seed {seed}"
+
+
+def test_observed_indices_follow_index_order():
+    mesh = build_grid(3, 2, 2).with_observed([9, 2, 5, 2])
+    assert mesh.observed_indices == [2, 5, 9]
+    assert build_grid(3, 2, 2).observed_indices == []

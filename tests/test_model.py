@@ -209,7 +209,7 @@ def toy_model(request):
     """The strong-scheme toy module with its selector C and qI process noise."""
     spec = ToySpec.reduced() if request.param == "reduced" else ToySpec.full()
     mesh, _, strong = build_toy(spec)
-    observed = [c.index for c in mesh.compartments if c.observed]
+    observed = mesh.observed_indices
     model = assemble(build_operators(mesh, strong), strong_theta(spec), observed, Q=1e-4, R=1e-4)
     return model, np.full(model.n, ToySpec.ambient_temp), toy_inputs(spec, mesh, 300)
 

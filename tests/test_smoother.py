@@ -41,6 +41,12 @@ def steady_gain(out, model):
     return np.linalg.solve(C @ V @ C.T + model.R, C @ V).T
 
 
+def filtered_covariance(out, model):
+    """V^+ = (I - K C) V^-, symmetrized."""
+    V = out.V_S_minus - steady_gain(out, model) @ (model.C @ out.V_S_minus)
+    return (V + V.T) / 2
+
+
 def test_full_smoother_recovers_noiseless_truth():
     rng = np.random.default_rng(0)
     model = random_stable_model(rng, n=4, n_y=2, q=0.0, r=0.0)
@@ -109,19 +115,20 @@ def test_steady_covariance_identities():
     P = rng.uniform(0, 1, (60, 1))
     traj = simulate(model, rng.normal(size=6), P, seed=5)
     out = rtss_steady(model, traj.y, traj.P, traj.T[0])
-    np.testing.assert_allclose(
-        out.V_S_plus, (np.eye(6) - steady_gain(out, model) @ model.C) @ out.V_S_minus, atol=1e-10
-    )
-    for V in (out.V_S_minus, out.V_S_plus, out.V_S_N):
+    V_plus = filtered_covariance(out, model)
+    for V in (out.V_S_minus, out.V_S_N):
         np.testing.assert_allclose(V, V.T, atol=1e-10)
         assert np.linalg.eigvalsh(V).min() > -1e-10
+    # Smoothing and filtering only remove uncertainty: V_S^N <= V^+ <= V^-.
+    for lo, hi in ((out.V_S_N, V_plus), (V_plus, out.V_S_minus)):
+        assert np.linalg.eigvalsh(hi - lo).min() > -1e-10
 
 
 @pytest.fixture(scope="module")
 def reduced_module():
     spec = ToySpec.reduced()
     mesh, _, strong = build_toy(spec)
-    observed = [c.index for c in mesh.compartments if c.observed]
+    observed = mesh.observed_indices
     return build_operators(mesh, strong), strong_theta(spec), observed
 
 
@@ -135,7 +142,7 @@ def test_steady_covariances_match_rts_lyapunov_solution(reduced_module, q, R):
     model = assemble(ops, theta, observed, Q=q, R=R)
     N = 20
     out = rtss_steady(model, np.zeros((N, model.n_y)), np.zeros((N, model.n_P)), np.zeros(model.n))
-    V_minus, V_plus = out.V_S_minus, out.V_S_plus
+    V_minus, V_plus = out.V_S_minus, filtered_covariance(out, model)
     J = np.linalg.solve(V_minus, model.A @ V_plus).T
     V_S = sla.solve_discrete_lyapunov(J, V_plus - J @ V_minus @ J.T, method="bilinear")
 
@@ -147,7 +154,7 @@ def test_steady_covariances_match_rts_lyapunov_solution(reduced_module, q, R):
 
 
 def test_steady_smoother_holds_one_record_length_array_of_means():
-    # The smoothed means overwrite the filtered ones: the peak allocation of
+    # The smoothed means overwrite the predicted ones: the peak allocation of
     # one call stays well below two N x n float64 arrays.
     rng = np.random.default_rng(3)
     n, N = 40, 20000
@@ -170,7 +177,6 @@ def test_accumulate_stats_single_term_hand_values():
     out = SmootherOutput(
         x_smooth=np.array([[1.0], [2.0]]),
         V_S_minus=np.zeros((1, 1)),
-        V_S_plus=np.zeros((1, 1)),
         V_S_N=np.zeros((1, 1)),
         V_S_lag=np.zeros((1, 1)),
         loglik=0.0,
@@ -192,7 +198,6 @@ def test_accumulate_stats_reduces_to_mean_outer_products():
     out = SmootherOutput(
         x_smooth=x,
         V_S_minus=np.zeros((n, n)),
-        V_S_plus=np.zeros((n, n)),
         V_S_N=np.zeros((n, n)),
         V_S_lag=np.zeros((n, n)),
         loglik=0.0,
@@ -249,7 +254,6 @@ def test_stats_require_two_steps():
     out = SmootherOutput(
         x_smooth=np.zeros((1, 2)),
         V_S_minus=np.zeros((2, 2)),
-        V_S_plus=np.zeros((2, 2)),
         V_S_N=np.zeros((2, 2)),
         V_S_lag=np.zeros((2, 2)),
         loglik=0.0,
@@ -263,7 +267,7 @@ def test_full_module_steady_estep_matches_blocked_path(monkeypatch):
     the blocked scans changes the E-step only by rounding."""
     spec = ToySpec.full()
     mesh, _, strong = build_toy(spec)
-    observed = [c.index for c in mesh.compartments if c.observed]
+    observed = mesh.observed_indices
     model = assemble(build_operators(mesh, strong), strong_theta(spec), observed, Q=1e-3, R=spec.meas_var)
     T_1 = np.full(model.n, ToySpec.ambient_temp)
     traj = simulate(model, T_1, toy_inputs(spec, mesh, 1500), seed=11)

@@ -176,7 +176,7 @@ def reduced_module():
 
     spec = ToySpec.reduced()
     mesh, _, strong = build_toy(spec)
-    observed = [c.index for c in mesh.compartments if c.observed]
+    observed = mesh.observed_indices
     return build_operators(mesh, strong), strong_theta(spec), observed
 
 
