@@ -4,20 +4,24 @@ All three hot loops have the form x[t+1] = F x[t] + u[t+1]. The callers
 compute the inputs of every step with record-wide matrix products and then
 run the recursion in place on a time-major array X that holds x[0] in its
 first row and the inputs u in the others; with ``reverse=True`` it runs from
-the last row backwards, x[t] = F x[t+1] + u[t]. There are two evaluators.
+the last row backwards, x[t] = F x[t+1] + u[t]. One evaluator,
+``sequential_scan``, steps every pass one product at a time over a CSR
+operator plus an optional rank-r term, F = A - U W.
 
 The filter and the smoother run in predicted form on one gain and one
 closed loop: the predictor gain K (K_p = A V^- C' S^-1 in ``smoother``) and
-F_p = A - K C. ``sequential_scan`` steps the recursion one product at a time
-over a CSR A plus an optional rank-r term, F = A - U W:
+F_p = A - K C, which reaches the scan in one of two forms, factored or
+folded:
 
-- rollout: x[t+1] = A x[t] + u[t+1], u[t+1] = B P[t] (+ noise);
-- filter: F = F_p, U = K and W = C, with u[t+1] = B P[t] + K y[t], so
-  xp[t+1] = A xp[t] + B P[t] + K (y[t] - C xp[t]);
-- smoother: F = F_p' = A' - C' K' backwards, U = C' and W = K'.
+- rollout: F = A, x[t+1] = A x[t] + u[t+1], u[t+1] = B P[t] (+ noise);
+- filter: F = F_p with u[t+1] = B P[t] + K y[t], so
+  xp[t+1] = A xp[t] + B P[t] + K (y[t] - C xp[t]); factored, it is the CSR
+  A with U = K and W = C; folded, the CSR of F_p and no rank term;
+- smoother: F = F_p' = A' - C' K' backwards; factored, the CSR A' with
+  U = C' and W = K'; folded, the CSR of F_p'.
 
 Each step is one call of scipy's compiled CSR kernel ``csr_matvec``, which
-adds A x[t] straight into the row of X that holds the step's input: no
+adds F x[t] straight into the row of X that holds the step's input: no
 scipy dispatch, no temporary and no separate addition. The gain term forms
 z = W x[t] (n_y values) in a buffer and subtracts U z, a sparse factor by
 the same kernel and a dense one by ``np.dot(..., out=)``. The kernel's
@@ -25,25 +29,6 @@ contract, pinned by tests/test_kernels.py: y += A x in float64, written
 into the output row in place even when that row is a strided view, with
 int32 or int64 indices. The rollout and the filter add B P[t] over the
 nonzero rows of B only (``_add_input``).
-
-``affine_scan`` is blocked in time (the block form of a linear prefix scan)
-over a dense F: the filter's F_p and the smoother's F_p'. With M steps and
-the block length L = round(M^(1/3)):
-
-1. local responses: the response of every block to its own inputs from a
-   zero start, as L-1 lock-step products (blocks x n)(n x n) over strided
-   views of X;
-2. carry: the block-start states in turn, x[(b+1)L] += F^L x[bL];
-3. fix-up: F^j x[bL] added to position j of every block, again as L-1
-   lock-step products.
-
-The last block may be short; it simply drops out of the lock-step products
-at the positions it does not have. The recursion thus costs about 2L
-matrix-matrix products and M/L carry steps instead of M matrix-vector
-products, and agrees with the per-step loop to rounding. The cube-root L
-(10 for a 1024-step chunk) ran a dense scan at N=5000 5-8% faster than the
-power of two nearest sqrt(M) that it replaced, and it keeps pace with the
-smoother's chunks.
 
 The filter starts from xp[0] = x1 and reads y[0] as C x1, so its first
 innovation e[0] is 0 and it returns N innovation rows. The smoother has one
@@ -54,18 +39,19 @@ then xs[t] = xp[t] + V^- lam[t]. ``smooth_steady`` runs it in chunks of
 _INPUT_ROWS steps from the record end: the lam rows of a chunk live in one
 buffer above the carry lam[stop] from the chunk after it, and the V^-
 product is one GEMM per chunk written into xp, so the smoothed means
-overwrite the predicted ones and no second record-length array is held. Its
-one branch picks the evaluator of a chunk.
+overwrite the predicted ones and no second record-length array is held.
 
-The rollout always steps. The filter and the smoother step from
-n >= SEQUENTIAL_MIN_N (the rule ``sequential``) and run the blocked scan
-below it. The blocked scan's dense lanes cost about n^2 per step, the
-sequential step a fixed call overhead plus the nonzeros of A and 2 n n_y
-for the gain term. On 3-D grid operators with about 7 nonzeros per row and
-every 20th state observed (``benchmarks/kernels.py``; the per-step table is
-in the README and the runs in ``BENCH_kernels.json``), the filter and
-smoother passes met between n=250 and n=325 and stepped faster from n=325
-on in every run, hence SEQUENTIAL_MIN_N = 325.
+The rollout always steps over A. The filter and the smoother step their
+closed loop factored from n >= FACTORED_MIN_N (the rule ``factored``) and
+folded below it. With the model's dense gain, K C fills the n_y observed
+columns of F_p, so a folded step reads about nnz(A) + n n_y values through
+the CSR kernel, and a factored one nnz(A) through it plus the n x n_y gain
+through BLAS, at the fixed overhead of two more calls. On 3-D grid
+operators with about 7 nonzeros per row, every 20th state observed and a
+dense gain (``benchmarks/kernels.py``; the per-step table is in the README
+and the runs in ``BENCH_kernels.json``), a filter step plus a smoother step
+cost less folded at n=250 and less factored from n=325 on in every run,
+hence FACTORED_MIN_N = 325.
 """
 
 from __future__ import annotations
@@ -84,19 +70,20 @@ from scipy.sparse._sparsetools import csr_matvec
 
 # Rows per chunk of the rollout's and the smoother's input and output products.
 _INPUT_ROWS = 1024
-# Operator size from which the filter and the smoother step instead of
-# running the blocked scan.
-SEQUENTIAL_MIN_N = 325
+# Operator size from which the filter and the smoother step their closed
+# loop as A plus the rank-n_y gain term instead of folded into one CSR.
+FACTORED_MIN_N = 325
 
 
 def _c64(x):
     return np.ascontiguousarray(np.asarray(x, dtype=np.float64))
 
 
-def sequential(A):
-    """True if the filter and the smoother on the n x n operator A run step
-    by step; the rollout always does."""
-    return A.shape[0] >= SEQUENTIAL_MIN_N
+def factored(A):
+    """True if the filter and the smoother on the n x n operator A step their
+    closed loop as A plus the rank-n_y gain term; below the rule they step it
+    folded into one CSR. The rollout steps A alone."""
+    return A.shape[0] >= FACTORED_MIN_N
 
 
 def _csr_args(M):
@@ -146,50 +133,6 @@ def sequential_scan(A, X, reverse=False, U=None, W=None):
     return X
 
 
-def affine_scan(F, X, reverse=False):
-    """In place: X[t+1] += F X[t] in time order (X[t] += F X[t+1] if reverse);
-    F is dense."""
-    M = X.shape[0] - 1
-    if M < 1:
-        return X
-    L = round(M ** (1 / 3))
-    FT = F.T
-
-    # Rows at position j of every block that has one, ordered by row index:
-    # block order when running forward, reversed block order backwards.
-    # Every view has a positive row stride, so dense products go to BLAS.
-    if reverse:
-        def lane(j):
-            return X[(M - j) % L : M - j + 1 : L]
-
-        def first(V, k):  # the rows of blocks 0..k-1
-            return V[V.shape[0] - k :]
-    else:
-        def lane(j):
-            return X[j::L]
-
-        def first(V, k):
-            return V[:k]
-
-    # 1. Local responses; position 1 of each block is its own input.
-    for j in range(2, L + 1):
-        dst = lane(j)
-        dst += first(lane(j - 1), dst.shape[0]) @ FT
-    # 2. Carry across the block starts.
-    starts = lane(0)
-    chain = starts[::-1] if reverse else starts
-    FLT = np.linalg.matrix_power(F, L).T
-    for b in range(1, chain.shape[0]):
-        chain[b] += chain[b - 1] @ FLT
-    # 3. Fix-up: position j of block b gains F^j x[bL].
-    Y = starts
-    for j in range(1, L):
-        dst = lane(j)
-        Y = first(Y, dst.shape[0]) @ FT
-        dst += Y
-    return X
-
-
 def _add_input(X, B, P):
     """X[t] += B P[t] over B's nonzero rows only, in row chunks: no record-length temporary."""
     rows = np.flatnonzero(B.any(axis=1))
@@ -223,10 +166,10 @@ def filter_steady(A, B, C, K, x1, P, Y):
     np.matmul(Y[: N - 1], K.T, out=xp[1:])
     xp[1] = K @ (C @ xp[0])
     _add_input(xp[1:], B, P[: N - 1])
-    if sequential(A):
+    if factored(A):
         sequential_scan(sp.csr_array(A), xp, U=K, W=sp.csr_array(C))
     else:
-        affine_scan(A - K @ C, xp)
+        sequential_scan(sp.csr_array(A - K @ C), xp)
     innov = Y - xp @ C.T
     innov[0] = 0.0
     return xp, innov
@@ -239,11 +182,11 @@ def smooth_steady(A, C, K, Xp, SinvE, V_minus):
     layouts are copied first."""
     A, C, K, SinvE, V_minus, xs = map(_c64, (A, C, K, SinvE, V_minus, Xp))
     N = xs.shape[0]
-    if sequential(A):
+    if factored(A):
         scan = partial(sequential_scan, sp.csr_array(A).T.tocsr(), reverse=True,
                        U=sp.csr_array(C.T), W=np.ascontiguousarray(K.T))
     else:
-        scan = partial(affine_scan, (A - K @ C).T, reverse=True)  # F_p'
+        scan = partial(sequential_scan, sp.csr_array((A - K @ C).T), reverse=True)  # F_p'
     # Z holds lam over the rows [start, stop) of one chunk in time order, and
     # below them the carry lam[stop] (zero for the last chunk of the record).
     rows = min(_INPUT_ROWS, N)

@@ -1,4 +1,4 @@
-"""The blocked and the sequential affine scans and their three callers against per-step loops."""
+"""The one affine scan, with the closed loop folded or factored, and its three callers against per-step loops."""
 
 import tracemalloc
 
@@ -16,9 +16,8 @@ from thermem.model import StateSpaceModel, assemble, predict, simulate
 from thermem.smoother import rtss_steady
 from thermem.solvers import DareProblem, _riccati_defect
 
-# Record lengths: the shortest ones, the three around a whole number of
-# blocks (47, 48 and 49 steps; 48 is 12 blocks of 4), one more step, and a
-# full identification record.
+# Record lengths: the shortest ones, four consecutive short ones and a full
+# identification record.
 LENGTHS = (2, 3, 48, 49, 50, 51, 5000)
 # The smoother's chunk boundaries: N-1 of one chunk, one chunk and a step,
 # and two chunks and a step.
@@ -82,13 +81,21 @@ def inputs(system, N):
     return P, Y, W
 
 
+def folded(system, reverse):
+    """The closed loop folded into one CSR, as the filter hands it to the scan
+    below the rule (F_p), and as the smoother does backwards (F_p')."""
+    F = system["A"] - system["K"] @ system["C"]
+    return F.T if reverse else F
+
+
 @pytest.mark.parametrize("N", LENGTHS)
 @pytest.mark.parametrize("reverse", [False, True])
 def test_affine_scan_matches_loop(system, N, reverse):
-    X = system["rng"].normal(size=(N, system["A"].shape[0]))
+    F = folded(system, reverse)
+    X = system["rng"].normal(size=(N, F.shape[0]))
     out = X.copy()
-    assert K.affine_scan(system["A"], out, reverse) is out
-    assert rel_err(out, affine_loop(system["A"], X, reverse)) <= RTOL
+    assert K.sequential_scan(sp.csr_array(F), out, reverse) is out
+    assert rel_err(out, affine_loop(F, X, reverse)) <= RTOL
 
 
 @pytest.mark.parametrize("N", LENGTHS)
@@ -119,14 +126,14 @@ def test_filter_and_smoother_match_loops(system, N):
 
 
 @pytest.mark.parametrize("N", LENGTHS + CHUNK_LENGTHS)
-@pytest.mark.parametrize("evaluator", ["blocked", "sequential"])
-def test_smooth_steady_matches_adjoint_loop(system, N, evaluator, monkeypatch):
-    """Both evaluators against the per-step adjoint recursion, across the
-    row chunks that carry mu from one to the next."""
+@pytest.mark.parametrize("form", ["folded", "factored"])
+def test_smooth_steady_matches_adjoint_loop(system, N, form, monkeypatch):
+    """Both forms of the closed loop against the per-step adjoint recursion,
+    across the row chunks that carry lam from one to the next."""
     s = system
-    if evaluator == "sequential":
-        monkeypatch.setattr(K, "SEQUENTIAL_MIN_N", 0)
-    assert K.sequential(s["A"]) == (evaluator == "sequential")
+    if form == "factored":
+        monkeypatch.setattr(K, "FACTORED_MIN_N", 0)
+    assert K.factored(s["A"]) == (form == "factored")
     Xp = s["rng"].normal(25, 3, (N, s["A"].shape[0]))
     SinvE = s["rng"].normal(size=(N, s["C"].shape[0]))
     ref = adjoint_loop(s["A"], s["C"], s["K"], Xp, SinvE, s["V"])
@@ -172,11 +179,11 @@ def test_wrappers_accept_noncontiguous_inputs():
 
 
 def test_scan_on_strided_view_matches_loop(system):
-    F = system["A"]
     for reverse in (False, True):
+        F = folded(system, reverse)
         base = system["rng"].normal(size=(2 * 300, F.shape[0]))
         ref, skipped = affine_loop(F, base[::2], reverse), base[1::2].copy()
-        K.affine_scan(F, base[::2], reverse)
+        K.sequential_scan(sp.csr_array(F), base[::2], reverse)
         assert rel_err(base[::2], ref) <= RTOL, reverse
         np.testing.assert_array_equal(base[1::2], skipped)
 
@@ -210,8 +217,8 @@ def test_full_module_prediction_matches_loop():
         assert rel_err(T, rollout_loop(model.A, model.B, T1, P[:-1])) <= RTOL, model.n
 
 
-# The sequential evaluator, which the rule in ``_kernels.sequential`` picks
-# on large operators, and the adjoint smoother against the RTS (J) form.
+# The factored closed loop, which the rule in ``_kernels.factored`` picks on
+# large operators, and the adjoint smoother against the RTS (J) form.
 SEQUENTIAL_LENGTHS = (2, 3, 5000)
 ADJOINT_RTOL = 1e-9
 
@@ -227,6 +234,17 @@ def steady_set(A, C, Q, R):
     return V, S, Kf, J
 
 
+def blocked_scan(A, X, reverse, U, W, rows=K._INPUT_ROWS):
+    """``sequential_scan`` over blocks of ``rows`` steps, each block scanned
+    from the finished row before it (after it if reverse) as its carry, the
+    way ``smooth_steady`` carries lam from one row chunk to the next."""
+    N = X.shape[0]
+    for i in range(0, N - 1, rows):
+        block = X[max(N - 1 - i - rows, 0) : N - i] if reverse else X[i : i + rows + 1]
+        K.sequential_scan(A, block, reverse, U, W)
+    return X
+
+
 @pytest.mark.parametrize("N", SEQUENTIAL_LENGTHS)
 @pytest.mark.parametrize("reverse", [False, True])
 @pytest.mark.parametrize("rank", [0, 3])
@@ -239,7 +257,8 @@ def test_sequential_scan_matches_loop_and_blocked_scan(system, N, reverse, rank)
     out = X.copy()
     assert K.sequential_scan(sp.csr_array(A), out, reverse, U, W) is out
     assert rel_err(out, affine_loop(F, X, reverse)) <= RTOL
-    assert rel_err(out, K.affine_scan(F, X.copy(), reverse)) <= RTOL
+    # The same steps in row blocks give the same rows, bit for bit.
+    np.testing.assert_array_equal(blocked_scan(sp.csr_array(A), X.copy(), reverse, U, W), out)
 
 
 def with_index_dtype(M, dtype):
@@ -287,13 +306,13 @@ def test_adjoint_smoother_matches_j_form_loop(system, N):
     assert rel_err(xp, smooth_loop(A, B, J, xf, P)) <= ADJOINT_RTOL
 
 
-@pytest.mark.parametrize("evaluator", ["blocked", "sequential"])
-def test_adjoint_smoother_adds_no_record_length_array(evaluator, monkeypatch):
+@pytest.mark.parametrize("form", ["folded", "factored"])
+def test_adjoint_smoother_adds_no_record_length_array(form, monkeypatch):
     s = make_system("stable")
     A, C, n, N = s["A"], s["C"], s["A"].shape[0], 20000
-    if evaluator == "sequential":
-        monkeypatch.setattr(K, "SEQUENTIAL_MIN_N", 0)
-    assert K.sequential(A) == (evaluator == "sequential")
+    if form == "factored":
+        monkeypatch.setattr(K, "FACTORED_MIN_N", 0)
+    assert K.factored(A) == (form == "factored")
     Xp = s["rng"].normal(size=(N, n))
     SinvE = s["rng"].normal(size=(N, C.shape[0]))
     tracemalloc.start()
@@ -360,33 +379,37 @@ def test_steady_smoother_hands_the_dare_predictor_gain_to_the_filter(monkeypatch
     assert not seen["innov"][0].any()
 
 
-def test_rule_is_blocked_at_178_and_sequential_at_817(toy_case, monkeypatch):
+def test_rule_is_folded_at_178_and_factored_at_817(toy_case, monkeypatch):
+    """Every pass runs ``sequential_scan``; the filter and the smoother hand it
+    the closed loop folded into one CSR at n=178 and factored at n=817."""
     model, traj, T1 = toy_case
     A, B, C, n, n_y = model.A, model.B, model.C, model.n, model.n_y
     assert n in (178, 817)
-    assert K.sequential(A) == (n == 817)
+    assert K.factored(A) == (n == 817)
     calls = []
+    scan = K.sequential_scan
 
-    def spy(name):
-        scan = getattr(K, name)
+    def spy(F, X, reverse=False, U=None, W=None):
+        calls.append((sp.csr_array(F).nnz, U is not None and W is not None))
+        return scan(F, X, reverse, U, W)
 
-        def counted(*args, **kwargs):
-            calls.append(name)
-            return scan(*args, **kwargs)
-
-        return counted
-
-    for name in ("affine_scan", "sequential_scan"):
-        monkeypatch.setattr(K, name, spy(name))
+    monkeypatch.setattr(K, "sequential_scan", spy)
     P = traj.P[:-1]
     K.rollout(A, B, T1, P)
-    assert calls == ["sequential_scan"]  # the rollout steps at every size
+    nnz_A = sp.csr_array(A).nnz
+    assert calls == [(nnz_A, False)]  # the rollout steps A at every size
     for noiseless in (True, False):  # one rollout per simulation, noisy or not
         calls.clear()
         simulate(model, T1, traj.P, seed=1, noiseless=noiseless)
-        assert calls == ["sequential_scan"]
+        assert calls == [(nnz_A, False)]
+    # A dense gain, as the model's is: K C fills the observed columns of F_p.
+    gain = np.full((n, n_y), 1e-3)
     calls.clear()
-    xf, innov = K.filter_steady(A, B, C, np.zeros((n, n_y)), T1, P, traj.y)
-    K.smooth_steady(A, C, np.zeros((n, n_y)), xf, innov, np.eye(n))
-    used = "sequential_scan" if n == 817 else "affine_scan"
-    assert len(calls) >= 2 and set(calls) == {used}
+    xp, innov = K.filter_steady(A, B, C, gain, T1, P, traj.y)
+    K.smooth_steady(A, C, gain, xp, innov, np.eye(n))
+    nnz_Fp = sp.csr_array(A - gain @ C).nnz
+    assert nnz_Fp > nnz_A
+    expected = (nnz_A, True) if n == 817 else (nnz_Fp, False)
+    # One filter scan and one smoother scan per row chunk.
+    chunks = -(-traj.y.shape[0] // K._INPUT_ROWS)
+    assert calls == [expected] * (1 + chunks)

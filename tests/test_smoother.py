@@ -262,19 +262,19 @@ def test_stats_require_two_steps():
         accumulate_stats(out, np.zeros((1, 1)))
 
 
-def test_full_module_steady_estep_matches_blocked_path(monkeypatch):
-    """At n=817 the filter and the adjoint smoother run step by step; forcing
-    the blocked scans changes the E-step only by rounding."""
+def test_full_module_steady_estep_matches_folded_path(monkeypatch):
+    """At n=817 the filter and the adjoint smoother step their closed loop
+    factored; forcing it folded changes the E-step only by rounding."""
     spec = ToySpec.full()
     mesh, _, strong = build_toy(spec)
     observed = mesh.observed_indices
     model = assemble(build_operators(mesh, strong), strong_theta(spec), observed, Q=1e-3, R=spec.meas_var)
     T_1 = np.full(model.n, ToySpec.ambient_temp)
     traj = simulate(model, T_1, toy_inputs(spec, mesh, 1500), seed=11)
-    assert _kernels.sequential(model.A)
+    assert _kernels.factored(model.A)
     out = rtss_steady(model, traj.y, traj.P, T_1)
     stats = accumulate_stats(out, traj.P)
-    monkeypatch.setattr(_kernels, "SEQUENTIAL_MIN_N", model.n + 1)
+    monkeypatch.setattr(_kernels, "FACTORED_MIN_N", model.n + 1)
     ref = rtss_steady(model, traj.y, traj.P, T_1, V0=out.V_S_minus)
     ref_stats = accumulate_stats(ref, traj.P)
     np.testing.assert_array_equal(ref.V_S_minus, out.V_S_minus)
