@@ -184,16 +184,15 @@ def cmd_predict(args) -> int:
     T_1 = initial_state_from_observation(
         traj.y[0], observed, exp.mesh.ambient_index, ops.n
     )
+    steps = max(horizon, 2)  # a rollout has two steps or more; `horizon` rows are written
     if exp.spec is not None:
-        P = toy_inputs(exp.spec, exp.mesh, max(horizon, 2))
+        P = toy_inputs(exp.spec, exp.mesh, steps)
+    elif traj.P.shape[0] < horizon:
+        raise ConfigurationError(f"dataset provides {traj.P.shape[0]} input rows < horizon {horizon}")
     else:
-        if traj.P.shape[0] < horizon:
-            raise ConfigurationError(
-                f"dataset provides {traj.P.shape[0]} input rows < horizon {horizon}"
-            )
-        P = traj.P[:horizon]
-    P = P[: max(horizon, 2)]
-    pred = predict(model, T_1, P)
+        P = traj.P[:steps]
+    full = predict(model, T_1, P)
+    pred = dataclasses.replace(full, P=full.P[:horizon], y=full.y[:horizon], T=full.T[:horizon])
 
     out = exp.out_dir
     pred_path = os.path.join(out, "prediction.csv")

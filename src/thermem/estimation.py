@@ -106,9 +106,10 @@ class CovarianceConstraint:
         alpha, beta = self.params
         return alpha * self.LL + beta * np.eye(self.n)
 
-    def inv_matrix(self) -> np.ndarray:
+    def precision(self) -> np.ndarray:
+        """Q^{-1}: the n inverse variances (qI, diagonal) or the dense inverse (aLLbI)."""
         if self.LL is None:
-            return np.diag(1.0 / np.broadcast_to(self.params, self.n))
+            return 1.0 / np.broadcast_to(self.params, self.n)
         return np.linalg.inv(self.matrix())
 
     def param_names(self):
@@ -119,12 +120,6 @@ class CovarianceConstraint:
         return ["alpha", "beta"]
 
 
-def _diag_or_none(M: np.ndarray):
-    if np.count_nonzero(M - np.diag(np.diagonal(M))) == 0:
-        return np.diagonal(M)
-    return None
-
-
 def _moments(stats: SmootherStats, dtau):
     """rr = sum r r' and dr = sum dT r' for r = [T_t; P_t], dT = (T_{t+1} - T_t)/dtau."""
     rr = np.block([[stats.XX, stats.XU], [stats.XU.T, stats.UU]])
@@ -133,18 +128,17 @@ def _moments(stats: SmootherStats, dtau):
 
 
 def _quadratic_terms(stats: SmootherStats, ops: GraphOperators, Q_inv, dtau):
-    """sum E{M' Q^{-1} M} and sum E{M' Q^{-1} dT}.
+    """sum E{M' Q^{-1} M} and sum E{M' Q^{-1} dT}; Q^{-1} is an n-vector or n x n.
 
     Entry (i, j) is tr(G_i' Q^{-1} G_j rr) and entry i of the right-hand side
-    tr(G_i' Q^{-1} dr), each a sum over the nonzeros of G_i. For diagonal
-    Q^{-1} each row of each G_i is summed before the weights are applied, so
-    scaling Q by a constant commutes exactly with the computation (the
-    scalar-identity update is then q-invariant to rounding).
+    tr(G_i' Q^{-1} dr), each a sum over the nonzeros of G_i. The diagonal
+    families' vector weights each row of each G_i once the row is summed, so
+    scaling Q by a constant commutes exactly: the qI update is q-invariant.
     """
     p, n = ops.n_theta, ops.n
     rr, dr = _moments(stats, dtau)
-    qdiag = _diag_or_none(Q_inv)
-    if qdiag is None:
+    dense = np.ndim(Q_inv) == 2
+    if dense:
         # (Q^{-1} X)[row, col] only, block by block of _ROW_BLOCK rows: those
         # rows of Q^{-1} times the columns of X that their nonzeros use.
         blocks = []
@@ -155,14 +149,14 @@ def _quadratic_terms(stats: SmootherStats, ops: GraphOperators, Q_inv, dtau):
 
     def traces(X):
         """tr(G_i' Q^{-1} X) for every i, for an n x (n + n_P) matrix X."""
-        if qdiag is None:
+        if dense:
             QX, XT = np.empty(ops.row.size), np.ascontiguousarray(X.T)
             for Q_rows, at, cols, r, c in blocks:
                 QX[at] = (Q_rows @ XT[cols].T)[r, c]
             return np.bincount(ops.param, weights=ops.val * QX, minlength=p)
         by_row = np.bincount(ops.param * n + ops.row, weights=ops.val * X[ops.row, ops.col],
                              minlength=p * n)
-        return by_row.reshape(p, n) @ qdiag
+        return by_row.reshape(p, n) @ Q_inv
 
     MQM = np.column_stack([traces(ops.regressor(e) @ rr) for e in np.eye(p)])
     return MQM, traces(dr)
@@ -178,8 +172,9 @@ def _theta_terms(stats: SmootherStats, ops: GraphOperators, theta: ThetaParams):
 
 
 def update_theta(stats: SmootherStats, ops: GraphOperators, Q_inv, dtau: float, warn) -> ThetaParams:
-    """Weighted least-squares parameter update from the sufficient statistics;
-    ``warn`` logs clamps.
+    """Weighted least-squares parameter update from the sufficient statistics
+    for ``Q_inv`` as ``CovarianceConstraint.precision`` gives it (invariant to
+    the scale of a diagonal family's Q); ``warn`` logs clamps.
 
     The normal matrix is Jacobi-equilibrated before solving; this leaves the
     estimator unchanged but keeps column-scale disparities (conductances see
@@ -341,7 +336,7 @@ class EmProblem:
         stats = accumulate_stats(out, self.P)
         loglik, V = out.loglik, out.V_S_minus
         del model, out  # free the N x n means before the M-step
-        theta_new = update_theta(stats, self.ops, constraint.inv_matrix(), dtau, warn)
+        theta_new = update_theta(stats, self.ops, constraint.precision(), dtau, warn)
         Q_full = update_Q_full(stats, self.ops, theta_new)
         c_new = project_constraint(Q_full, constraint, warn)
         return theta_new, c_new, loglik, V, Q_full

@@ -112,7 +112,7 @@ class GraphOperators:
     def n_theta(self) -> int:
         return self.n_k + self.n_z
 
-    def regressor(self, theta_vec) -> sp.csr_matrix:
+    def regressor(self, theta_vec) -> sp.csr_array:
         """G(theta) for theta = [k', z']'; G(e_i) holds the nonzeros of G_i only."""
         w = np.asarray(theta_vec, dtype=np.float64)[self.param] * self.val
         keep = w != 0
@@ -121,7 +121,7 @@ class GraphOperators:
         # bincount adds the entries of one position in storage (class) order, so
         # G matches the class-by-class sum of the S_a bit for bit.
         data = np.bincount(at, weights=w[keep])
-        return sp.csr_matrix((data, np.divmod(pos, m)), shape=(self.n, m))
+        return sp.csr_array((data, np.divmod(pos, m)), shape=(self.n, m))
 
 
 def build_operators(mesh: CompartmentMesh, scheme: SharingScheme) -> GraphOperators:
@@ -144,7 +144,7 @@ def build_operators(mesh: CompartmentMesh, scheme: SharingScheme) -> GraphOperat
     for a in range(scheme.n_k):
         sel = active & (k_class == a)
         h, t, w = heads[sel], tails[sel], weights[sel]
-        S_a = sp.csr_matrix(
+        S_a = sp.csr_array(
             (np.concatenate([w, -w]), (np.concatenate([h, h]), np.concatenate([h, t]))),
             shape=(n, n),
         ).tocoo()

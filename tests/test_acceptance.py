@@ -436,8 +436,11 @@ def test_criterion_7_structural_invariants(reduced):
         XX=X[:-1].T @ X[:-1], XU=X[:-1].T @ P_s[:-1], ZZ=X[1:].T @ X[1:],
         ZU=X[1:].T @ P_s[:-1], XZ=X[:-1].T @ X[1:], UU=P_s[:-1].T @ P_s[:-1], N=traj.N,
     )
-    t_a = update_theta(stats, ops_s, np.eye(ops_s.n), theta_s.dtau, _Throttle())
-    t_b = update_theta(stats, ops_s, np.eye(ops_s.n) / 7.0, theta_s.dtau, _Throttle())
+    t_a, t_b = (
+        update_theta(stats, ops_s, CovarianceConstraint.scalar_identity(q, ops_s.n).precision(),
+                     theta_s.dtau, _Throttle())
+        for q in (1.0, 7.0)
+    )
     q_inv_err = np.abs(t_a.vector - t_b.vector).max() / np.abs(t_a.vector).max()
     assert q_inv_err < 1e-12
 

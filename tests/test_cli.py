@@ -407,6 +407,26 @@ def test_predict_horizon_zero_exits_2(tmp_path):
     assert not os.path.exists(os.path.join(out_dir, "prediction.csv"))
 
 
+@pytest.mark.parametrize("preset", [None, "toy_reduced"], ids=["custom", "toy_reduced"])
+def test_predict_horizon_one_writes_one_row(tmp_path, preset):
+    """Both input sources roll out two steps and write the one asked for."""
+    em = {"max_iter": 1, "R": 1e-10}
+    generate = {"N": 20, "seed": 1, "noise": {"kind": "none"}, "write_truth": True}
+    if preset is None:
+        cfg_path, out_dir = write_config(tmp_path, {"em": em, "generate": generate})
+    else:
+        out_dir = str(tmp_path / "run")
+        cfg_path = str(tmp_path / "preset.json")
+        with open(cfg_path, "w") as fh:
+            json.dump({"preset": preset, "em": em, "generate": generate, "out": out_dir}, fh)
+    assert main(["generate", "--config", cfg_path]) == 0
+    assert main(["identify", "--config", cfg_path]) == 0
+    assert main(["predict", "--config", cfg_path, "--horizon", "1"]) == 0
+    assert read_trajectory_csv(os.path.join(out_dir, "prediction.csv")).N == 1
+    report = read_manifest(os.path.join(out_dir, "error_report.json"))
+    assert report["horizon"] == 1 and report["error"]["steps_compared"] == 1
+
+
 def test_bad_config_json_exits_2(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

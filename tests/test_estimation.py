@@ -79,12 +79,23 @@ def test_expected_terms_zero_stats_give_zero():
         assert not np.any(M)
 
 
-@pytest.mark.parametrize("with_cov", [False, True])
-def test_expected_terms_match_bruteforce(with_cov):
+@pytest.mark.parametrize("with_cov, diagonal", [
+    pytest.param(False, False, id="False"),
+    pytest.param(True, False, id="True"),
+    pytest.param(False, True, id="diagonal-False"),
+    pytest.param(True, True, id="diagonal-True"),
+])
+def test_expected_terms_match_bruteforce(with_cov, diagonal):
+    """Dense Q^{-1}, or a non-uniform diagonal one passed as the vector of
+    inverse variances (checked against the oracle's np.diag of it)."""
     mesh, scheme, ops, rng = small_setup(seed=3)
     out, traj, _ = stats_from_run(mesh, scheme, ops, rng)
     theta = ThetaParams(k=[0.06, 0.03], z=[0.3])
-    Q_inv = np.linalg.inv(0.5 * np.eye(ops.n) + 0.1 * np.ones((ops.n, ops.n)))
+    if diagonal:
+        Q_inv = np.random.default_rng(4).uniform(0.5, 20.0, ops.n)
+        Q_inv_ref = np.diag(Q_inv)
+    else:
+        Q_inv = Q_inv_ref = np.linalg.inv(0.5 * np.eye(ops.n) + 0.1 * np.ones((ops.n, ops.n)))
 
     if with_cov:
         x, V, V_lag = out.x_smooth, out.V_S_N, out.V_S_lag
@@ -97,7 +108,7 @@ def test_expected_terms_match_bruteforce(with_cov):
         stats = accumulate_stats(fake, traj.P)
 
     got = aggregates(stats, ops, Q_inv, theta)
-    ref = bruteforce_terms(mesh, scheme, x, traj.P, Q_inv, theta, V=V, V_S_lag=V_lag)
+    ref = bruteforce_terms(mesh, scheme, x, traj.P, Q_inv_ref, theta, V=V, V_S_lag=V_lag)
     names = ("dTdT", "MQM", "MththM", "MQdT", "dTthM")
     for name, g, r_ in zip(names, got, ref):
         scale = max(1.0, np.max(np.abs(r_)))
@@ -118,8 +129,10 @@ def test_update_theta_scalar_identity_invariant_to_q():
     mesh, scheme, ops, rng = small_setup(seed=7)
     out, traj, _ = stats_from_run(mesh, scheme, ops, rng)
     stats = accumulate_stats(out, traj.P)
-    t1 = update_theta(stats, ops, np.eye(ops.n) / 1.0, 1.0, _Throttle())
-    t5 = update_theta(stats, ops, np.eye(ops.n) / 5.0, 1.0, _Throttle())
+    t1 = update_theta(stats, ops, CovarianceConstraint.scalar_identity(1.0, ops.n).precision(),
+                      1.0, _Throttle())
+    t5 = update_theta(stats, ops, CovarianceConstraint.scalar_identity(5.0, ops.n).precision(),
+                      1.0, _Throttle())
     np.testing.assert_allclose(t1.vector, t5.vector, rtol=1e-12)
 
 
@@ -151,7 +164,7 @@ def test_update_theta_single_edge_exact_recovery():
         ZU=X[1:].T @ P[:-1], XZ=X[:-1].T @ X[1:], UU=P[:-1].T @ P[:-1],
         N=traj.N,
     )
-    theta = update_theta(stats, ops, np.eye(ops.n), theta_true.dtau, _Throttle())
+    theta = update_theta(stats, ops, np.ones(ops.n), theta_true.dtau, _Throttle())
     np.testing.assert_allclose(theta.vector, ref, atol=1e-8)
     np.testing.assert_allclose(theta.k[0], k_true, atol=1e-8)
     np.testing.assert_allclose(theta.z[0], z_true, atol=1e-8)
@@ -261,16 +274,16 @@ def test_project_idempotent():
 
 
 def test_diagonal_families_build_exact_matrices():
-    """qI and diagonal give exactly q I and diag(q_vec) and their inverses:
-    EM's results depend on these values bit for bit."""
+    """qI and diagonal give exactly q I and diag(q_vec), and their inverse
+    variances as a vector: EM's results depend on these values bit for bit."""
     n, q = 6, 0.37
     q_vec = np.random.default_rng(8).uniform(0.1, 1.0, n)
     c = CovarianceConstraint.scalar_identity(q, n)
     assert np.array_equal(c.matrix(), q * np.eye(n))
-    assert np.array_equal(c.inv_matrix(), (1.0 / q) * np.eye(n))
+    assert np.array_equal(c.precision(), np.full(n, 1.0 / q))
     d = CovarianceConstraint.diagonal(q_vec, n)
     assert np.array_equal(d.matrix(), np.diag(q_vec))
-    assert np.array_equal(d.inv_matrix(), np.diag(1.0 / q_vec))
+    assert np.array_equal(d.precision(), 1.0 / q_vec)
 
 
 @pytest.mark.parametrize("c, Q_full, floored", [
@@ -624,7 +637,7 @@ def test_dense_q_terms_match_dense_products_on_full_module():
     stats = SmootherStats(
         XX=X.T @ X, XU=X.T @ P, ZZ=Z.T @ Z, ZU=Z.T @ P, XZ=X.T @ Z, UU=P.T @ P, N=N
     )
-    Q_inv = CovarianceConstraint.alpha_LL_beta_I(build_L(ops), 1e-3, 1e-4).inv_matrix()
+    Q_inv = CovarianceConstraint.alpha_LL_beta_I(build_L(ops), 1e-3, 1e-4).precision()
     MQM, rhs = _quadratic_terms(stats, ops, Q_inv, 1.0)
 
     rr = np.block([[stats.XX, stats.XU], [stats.XU.T, stats.UU]])
