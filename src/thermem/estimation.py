@@ -1,17 +1,18 @@
 """M-step estimators, covariance constraints, and the outer EM loop.
 
-The E-step (steady smoother) condenses the data into six statistic matrices;
-everything here consumes only those. The parameter update is the weighted
-least-squares solution
+The E-step (steady smoother) condenses the data into the three moments of
+``SmootherStats``; everything here consumes only those. The parameter update
+is the weighted least-squares solution
     theta = (sum E{M' Q^{-1} M})^{-1} sum E{M' Q^{-1} dT},    dT = (T[t+1]-T[t])/dtau
 and the full-covariance update is the expected residual outer product
     Q_full = 1/(N-1) sum E{(dT - M theta)(dT - M theta)'}.
 With r = [T_t; P_t], M[t] theta = G(theta) r and column i of M[t] is G_i r
 for the sparse regressor G_i = G(e_i) (thermem.graph), so every expected
-term reduces to the moments rr = sum E{r r'} and dr = sum E{dT r'}:
+term reduces to rr = sum E{r r'}, dr = sum E{d r'} and dd = sum E{d d'} for
+the step d = dtau dT:
     sum E{M' Q^{-1} M}[i, j] = tr(G_i' Q^{-1} G_j rr),
-    sum E{M' Q^{-1} dT}[i]   = tr(G_i' Q^{-1} dr),
-    sum E{M theta theta' M'} = G rr G',   sum E{dT theta' M'} = dr G'.
+    sum E{M' Q^{-1} dT}[i]   = tr(G_i' Q^{-1} dr) / dtau,   sum E{dT dT'} = dd / dtau^2,
+    sum E{M theta theta' M'} = G rr G',   sum E{dT theta' M'} = dr G' / dtau.
 
 Q_full is never used directly: it is projected onto one of three constraint
 families (isotropic qI, free diagonal, or alpha LL' + beta I fitted in the
@@ -120,23 +121,15 @@ class CovarianceConstraint:
         return ["alpha", "beta"]
 
 
-def _moments(stats: SmootherStats, dtau):
-    """rr = sum r r' and dr = sum dT r' for r = [T_t; P_t], dT = (T_{t+1} - T_t)/dtau."""
-    rr = np.block([[stats.XX, stats.XU], [stats.XU.T, stats.UU]])
-    dr = np.hstack([stats.XZ.T - stats.XX, stats.ZU - stats.XU]) / dtau
-    return rr, dr
-
-
 def _quadratic_terms(stats: SmootherStats, ops: GraphOperators, Q_inv, dtau):
     """sum E{M' Q^{-1} M} and sum E{M' Q^{-1} dT}; Q^{-1} is an n-vector or n x n.
 
     Entry (i, j) is tr(G_i' Q^{-1} G_j rr) and entry i of the right-hand side
-    tr(G_i' Q^{-1} dr), each a sum over the nonzeros of G_i. The diagonal
+    tr(G_i' Q^{-1} dr) / dtau, each a sum over the nonzeros of G_i. The diagonal
     families' vector weights each row of each G_i once the row is summed, so
     scaling Q by a constant commutes exactly: the qI update is q-invariant.
     """
     p, n = ops.n_theta, ops.n
-    rr, dr = _moments(stats, dtau)
     dense = np.ndim(Q_inv) == 2
     if dense:
         # (Q^{-1} X)[row, col] only, block by block of _ROW_BLOCK rows: those
@@ -158,17 +151,15 @@ def _quadratic_terms(stats: SmootherStats, ops: GraphOperators, Q_inv, dtau):
                              minlength=p * n)
         return by_row.reshape(p, n) @ Q_inv
 
-    MQM = np.column_stack([traces(ops.regressor(e) @ rr) for e in np.eye(p)])
-    return MQM, traces(dr)
+    MQM = np.column_stack([traces(ops.regressor(e) @ stats.rr) for e in np.eye(p)])
+    return MQM, traces(stats.dr / dtau)
 
 
 def _theta_terms(stats: SmootherStats, ops: GraphOperators, theta: ThetaParams):
-    """sum E{dT dT'}, sum E{M theta theta' M'} = G rr G' and
-    sum E{dT theta' M'} = dr G', for G = G(theta)."""
-    dTdT = (stats.XX - stats.XZ - stats.XZ.T + stats.ZZ) / theta.dtau**2
-    rr, dr = _moments(stats, theta.dtau)
+    """sum E{dT dT'} = dd / dtau^2, sum E{M theta theta' M'} = G rr G' and
+    sum E{dT theta' M'} = dr G' / dtau, for G = G(theta)."""
     G = ops.regressor(theta.vector)
-    return dTdT, G @ (G @ rr).T, (G @ dr.T).T
+    return stats.dd / theta.dtau**2, G @ (G @ stats.rr).T, (G @ (stats.dr / theta.dtau).T).T
 
 
 def update_theta(stats: SmootherStats, ops: GraphOperators, Q_inv, dtau: float, warn) -> ThetaParams:

@@ -138,6 +138,8 @@ def _read_csv(path):
     """Column names from the header line and the rows as a 2-D float array."""
     with open(path, "r") as fh:
         names = fh.readline().strip().split(",")
+        if not any(line.split("#", 1)[0].strip() for line in fh):
+            raise DataFormatError(f"{path}: no data rows after the header")
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except ValueError as exc:

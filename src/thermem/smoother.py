@@ -67,14 +67,17 @@ class SmootherOutput:
 
 @dataclass(eq=False)
 class SmootherStats:
-    """The six sufficient-statistic matrices, summed over t = 1..N-1."""
+    """The M-step's three moments, summed over t = 1..N-1, of the regressor
+    r[t] = [x[t]; P[t]] and the step d[t] = x[t+1] - x[t] (not divided by dtau):
+    rr = sum E{r r'}, dr = sum E{d r'} and dd = sum E{d d'}. In the textbook
+    sums (Shumway & Stoffer, J. Time Series Anal. 3:253, 1982) XX, XZ, ZZ of
+    E{x[t] x[t]'}, E{x[t] x[t+1]'}, E{x[t+1] x[t+1]'} and XU, ZU, UU of
+    E{x[t]} P[t]', E{x[t+1]} P[t]', P[t] P[t]': rr = [[XX, XU], [XU', UU]],
+    dr = [XZ' - XX, ZU - XU] and dd = XX - XZ - XZ' + ZZ."""
 
-    XX: np.ndarray
-    XU: np.ndarray
-    ZZ: np.ndarray
-    ZU: np.ndarray
-    XZ: np.ndarray
-    UU: np.ndarray
+    rr: np.ndarray
+    dr: np.ndarray
+    dd: np.ndarray
     N: int
 
 
@@ -139,7 +142,7 @@ def rtss_steady(model: StateSpaceModel, Y, P, T_1, V0=None) -> SmootherOutput:
 
 
 def accumulate_stats(out: SmootherOutput, P) -> SmootherStats:
-    """Sufficient statistics from a steady-smoother run.
+    """The M-step's three moments from a steady-smoother run.
 
     Covariance contributions enter through the stationary smoothed covariance
     (N-1 copies of V_S^N, and of V_S_lag for the lagged cross term).
@@ -162,5 +165,5 @@ def accumulate_stats(out: SmootherOutput, P) -> SmootherStats:
     XZ = (N - 1) * out.V_S_lag + X.T @ Z
     XU = X.T @ Pd
     ZU = Z.T @ Pd
-    UU = Pd.T @ Pd
-    return SmootherStats(XX=XX, XU=XU, ZZ=ZZ, ZU=ZU, XZ=XZ, UU=UU, N=N)
+    return SmootherStats(rr=np.block([[XX, XU], [XU.T, Pd.T @ Pd]]), dr=np.hstack([XZ.T - XX, ZU - XU]),
+                         dd=XX - XZ - XZ.T + ZZ, N=N)

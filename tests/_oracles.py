@@ -351,7 +351,7 @@ def rtss_full(model: StateSpaceModel, Y, P, T_1, V_1=None) -> FullSmootherResult
 
 
 def _stats_from_full(x_smooth, V_smooth, V_lag, P_dyn) -> SmootherStats:
-    """Direct time-varying summation of the sufficient statistics."""
+    """Direct time-varying summation of the six textbook sums, handed over as moments."""
     N, n = x_smooth.shape
     n_P = P_dyn.shape[1]
     XX = np.zeros((n, n))
@@ -368,4 +368,29 @@ def _stats_from_full(x_smooth, V_smooth, V_lag, P_dyn) -> SmootherStats:
         XU += np.outer(x_smooth[t], P_dyn[t])
         ZU += np.outer(x_smooth[t + 1], P_dyn[t])
         UU += np.outer(P_dyn[t], P_dyn[t])
-    return SmootherStats(XX=XX, XU=XU, ZZ=ZZ, ZU=ZU, XZ=XZ, UU=UU, N=N)
+    return stats_from_sums(XX, XU, ZZ, ZU, XZ, UU, N)
+
+
+def stats_from_sums(XX, XU, ZZ, ZU, XZ, UU, N) -> SmootherStats:
+    """The moments from the six textbook sums, by the formulas of SmootherStats' docstring."""
+    return SmootherStats(rr=np.block([[XX, XU], [XU.T, UU]]), dr=np.hstack([XZ.T - XX, ZU - XU]),
+                         dd=XX - XZ - XZ.T + ZZ, N=N)
+
+
+def sums_from_stats(stats: SmootherStats) -> dict:
+    """The six textbook sums read back from the moments (stats_from_sums inverted)."""
+    n = stats.dd.shape[0]
+    XX, XU, UU = stats.rr[:n, :n], stats.rr[:n, n:], stats.rr[n:, n:]
+    XZ = (stats.dr[:, :n] + XX).T
+    return {"XX": XX, "XU": XU, "ZZ": stats.dd - XX + XZ + XZ.T, "ZU": stats.dr[:, n:] + XU,
+            "XZ": XZ, "UU": UU}
+
+
+def moments_from_states(x, P) -> SmootherStats:
+    """The moments of known states x (N x n) and inputs P (N or N-1 rows):
+    rr = R'R, dr = D'R and dd = D'D for the rows R = [x[t], P[t]] and the
+    steps D = x[t+1] - x[t], t < N-1."""
+    N = x.shape[0]
+    R = np.hstack([x[:-1], P[: N - 1]])
+    D = x[1:] - x[:-1]
+    return SmootherStats(rr=R.T @ R, dr=D.T @ R, dd=D.T @ D, N=N)

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from _oracles import bruteforce_terms, dense_M, dense_structure
+from _oracles import bruteforce_terms, dense_M, dense_structure, moments_from_states
 from thermem.errors import (
     ConfigurationError,
     ConvergenceError,
@@ -30,7 +30,7 @@ from thermem.datagen import ToySpec, build_toy
 from thermem.graph import SharingScheme, build_operators
 from thermem.mesh import build_grid
 from thermem.model import ThetaParams, assemble, simulate
-from thermem.smoother import SmootherStats, accumulate_stats, rtss_steady
+from thermem.smoother import accumulate_stats, rtss_steady
 
 
 def small_setup(nx=2, ny=2, nz=1, seed=0):
@@ -48,11 +48,7 @@ def small_setup(nx=2, ny=2, nz=1, seed=0):
 
 
 def zero_stats(n, n_P, N=5):
-    z = np.zeros
-    return SmootherStats(
-        XX=z((n, n)), XU=z((n, n_P)), ZZ=z((n, n)), ZU=z((n, n_P)),
-        XZ=z((n, n)), UU=z((n_P, n_P)), N=N,
-    )
+    return moments_from_states(np.zeros((N, n)), np.zeros((N, n_P)))
 
 
 def stats_from_run(mesh, scheme, ops, rng, N=30, q=1e-3, r=1e-5):
@@ -79,18 +75,23 @@ def test_expected_terms_zero_stats_give_zero():
         assert not np.any(M)
 
 
-@pytest.mark.parametrize("with_cov, diagonal", [
-    pytest.param(False, False, id="False"),
-    pytest.param(True, False, id="True"),
-    pytest.param(False, True, id="diagonal-False"),
-    pytest.param(True, True, id="diagonal-True"),
+@pytest.mark.parametrize("with_cov, diagonal, dtau", [
+    pytest.param(False, False, 1.0, id="False"),
+    pytest.param(True, False, 1.0, id="True"),
+    pytest.param(False, True, 1.0, id="diagonal-False"),
+    pytest.param(True, True, 1.0, id="diagonal-True"),
+    pytest.param(False, False, 2.0, id="dtau2-False"),
+    pytest.param(True, False, 2.0, id="dtau2-True"),
+    pytest.param(False, True, 2.0, id="dtau2-diagonal-False"),
+    pytest.param(True, True, 2.0, id="dtau2-diagonal-True"),
 ])
-def test_expected_terms_match_bruteforce(with_cov, diagonal):
+def test_expected_terms_match_bruteforce(with_cov, diagonal, dtau):
     """Dense Q^{-1}, or a non-uniform diagonal one passed as the vector of
-    inverse variances (checked against the oracle's np.diag of it)."""
+    inverse variances (checked against the oracle's np.diag of it), at
+    dtau 1 and 2: the M-step divides the per-step moments by dtau itself."""
     mesh, scheme, ops, rng = small_setup(seed=3)
     out, traj, _ = stats_from_run(mesh, scheme, ops, rng)
-    theta = ThetaParams(k=[0.06, 0.03], z=[0.3])
+    theta = ThetaParams(k=[0.06, 0.03], z=[0.3], dtau=dtau)
     if diagonal:
         Q_inv = np.random.default_rng(4).uniform(0.5, 20.0, ops.n)
         Q_inv_ref = np.diag(Q_inv)
@@ -113,16 +114,6 @@ def test_expected_terms_match_bruteforce(with_cov, diagonal):
     for name, g, r_ in zip(names, got, ref):
         scale = max(1.0, np.max(np.abs(r_)))
         np.testing.assert_allclose(g, r_, atol=1e-10 * scale, err_msg=name)
-
-
-def test_dTdT_assembles_from_stats_directly():
-    mesh, scheme, ops, rng = small_setup(seed=5)
-    out, traj, _ = stats_from_run(mesh, scheme, ops, rng)
-    stats = accumulate_stats(out, traj.P)
-    theta = ThetaParams(k=[0.05, 0.02], z=[0.2], dtau=2.0)
-    dTdT = _theta_terms(stats, ops, theta)[0]
-    direct = (stats.XX - stats.XZ - stats.XZ.T + stats.ZZ) / theta.dtau**2
-    np.testing.assert_allclose(dTdT, direct, atol=1e-12)
 
 
 def test_update_theta_scalar_identity_invariant_to_q():
@@ -158,12 +149,7 @@ def test_update_theta_single_edge_exact_recovery():
     dbig = np.concatenate(rows_d)
     ref, *_ = np.linalg.lstsq(Mbig, dbig, rcond=None)
 
-    X = traj.T
-    stats = SmootherStats(
-        XX=X[:-1].T @ X[:-1], XU=X[:-1].T @ P[:-1], ZZ=X[1:].T @ X[1:],
-        ZU=X[1:].T @ P[:-1], XZ=X[:-1].T @ X[1:], UU=P[:-1].T @ P[:-1],
-        N=traj.N,
-    )
+    stats = moments_from_states(traj.T, P)
     theta = update_theta(stats, ops, np.ones(ops.n), theta_true.dtau, _Throttle())
     np.testing.assert_allclose(theta.vector, ref, atol=1e-8)
     np.testing.assert_allclose(theta.k[0], k_true, atol=1e-8)
@@ -184,15 +170,10 @@ def test_update_Q_full_perfect_fit_is_zero():
     model = assemble(ops, theta, observed, Q=0.0, R=0.0)
     P = rng.uniform(0, 1, (15, ops.n_P))
     traj = simulate(model, np.full(ops.n, 20.0), P, noiseless=True)
-    X = traj.T
-    stats = SmootherStats(
-        XX=X[:-1].T @ X[:-1], XU=X[:-1].T @ P[:-1], ZZ=X[1:].T @ X[1:],
-        ZU=X[1:].T @ P[:-1], XZ=X[:-1].T @ X[1:], UU=P[:-1].T @ P[:-1],
-        N=traj.N,
-    )
+    stats = moments_from_states(traj.T, P)
     Q_full = update_Q_full(stats, ops, theta)
     # Zero up to float cancellation of the O(T^2 N) statistic magnitudes.
-    np.testing.assert_allclose(Q_full, 0.0, atol=1e-12 * np.abs(stats.XX).max())
+    np.testing.assert_allclose(Q_full, 0.0, atol=1e-12 * np.abs(stats.rr[: ops.n, : ops.n]).max())
 
 
 def test_update_Q_full_recovers_noise_scale():
@@ -204,12 +185,7 @@ def test_update_Q_full_recovers_noise_scale():
     N = 4000
     P = rng.uniform(0, 1, (N, ops.n_P))
     traj = simulate(model, np.full(ops.n, 20.0), P, seed=21)
-    X = traj.T
-    stats = SmootherStats(
-        XX=X[:-1].T @ X[:-1], XU=X[:-1].T @ P[:-1], ZZ=X[1:].T @ X[1:],
-        ZU=X[1:].T @ P[:-1], XZ=X[:-1].T @ X[1:], UU=P[:-1].T @ P[:-1],
-        N=traj.N,
-    )
+    stats = moments_from_states(traj.T, P)
     Q_full = update_Q_full(stats, ops, theta)
     assert np.trace(Q_full) / ops.n == pytest.approx(sigma2, rel=0.2)
 
@@ -221,12 +197,7 @@ def test_update_Q_full_matches_residual_outer_products():
     model = assemble(ops, theta, observed, Q=1e-3, R=0.0)
     P = rng.uniform(0, 1, (25, ops.n_P))
     traj = simulate(model, np.full(ops.n, 22.0), P, seed=2)
-    X = traj.T
-    stats = SmootherStats(
-        XX=X[:-1].T @ X[:-1], XU=X[:-1].T @ P[:-1], ZZ=X[1:].T @ X[1:],
-        ZU=X[1:].T @ P[:-1], XZ=X[:-1].T @ X[1:], UU=P[:-1].T @ P[:-1],
-        N=traj.N,
-    )
+    stats = moments_from_states(traj.T, P)
     Q_full = update_Q_full(stats, ops, theta)
 
     S_list, src = dense_structure(mesh, scheme)
@@ -633,15 +604,11 @@ def test_dense_q_terms_match_dense_products_on_full_module():
     N = 60
     x = rng.normal(25.0, 1.0, (N, ops.n))
     P = rng.uniform(0.0, 1.0, (N - 1, ops.n_P))
-    X, Z = x[:-1], x[1:]
-    stats = SmootherStats(
-        XX=X.T @ X, XU=X.T @ P, ZZ=Z.T @ Z, ZU=Z.T @ P, XZ=X.T @ Z, UU=P.T @ P, N=N
-    )
+    stats = moments_from_states(x, P)
     Q_inv = CovarianceConstraint.alpha_LL_beta_I(build_L(ops), 1e-3, 1e-4).precision()
     MQM, rhs = _quadratic_terms(stats, ops, Q_inv, 1.0)
 
-    rr = np.block([[stats.XX, stats.XU], [stats.XU.T, stats.UU]])
-    dr = np.hstack([stats.XZ.T - stats.XX, stats.ZU - stats.XU])
+    rr, dr = stats.rr, stats.dr
     G = [ops.regressor(e).toarray() for e in np.eye(ops.n_theta)]
     QGrr = [Q_inv @ (G_j @ rr) for G_j in G]
     ref_MQM = np.array([[np.sum(G_i * QG_j) for QG_j in QGrr] for G_i in G])

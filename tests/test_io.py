@@ -1,6 +1,7 @@
 """The CSV writer against np.savetxt at %.12g, byte for byte, and the JSON files."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -85,6 +86,19 @@ def test_short_P_is_rejected_with_both_counts(tmp_path):
         tio.write_trajectory_csv(
             str(tmp_path / "s.csv"), Trajectory(P=np.zeros((5, 2)), y=X, T=X), full_state=True
         )
+
+
+@pytest.mark.parametrize("header, read", [
+    ("t,y_1,P_1", tio.read_trajectory_csv),
+    ("iter,loglik,theta_rel_change,q_residual,k_1,z_1,q,step_length,rejected", tio.read_trace_csv),
+], ids=["trajectory", "trace"])
+def test_header_only_csv_is_refused_without_a_warning(tmp_path, header, read):
+    path = tmp_path / "header-only.csv"
+    path.write_text(header + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(tio.DataFormatError, match=r"header-only\.csv: no data rows"):
+            read(str(path))
 
 
 def test_cli_outputs_rewrite_byte_for_byte(tmp_path):

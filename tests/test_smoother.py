@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from _oracles import rtss_full
+from _oracles import moments_from_states, rtss_full, stats_from_sums, sums_from_stats
 from thermem import _kernels
 from thermem.datagen import ToySpec, build_toy, strong_theta, toy_inputs
 from thermem.graph import build_operators
@@ -182,12 +182,10 @@ def test_accumulate_stats_single_term_hand_values():
         loglik=0.0,
     )
     stats = accumulate_stats(out, np.array([[3.0], [0.0]]))
-    assert stats.XX[0, 0] == 1.0
-    assert stats.ZZ[0, 0] == 4.0
-    assert stats.XZ[0, 0] == 2.0
-    assert stats.XU[0, 0] == 3.0
-    assert stats.ZU[0, 0] == 6.0
-    assert stats.UU[0, 0] == 9.0
+    # r = [1, 3] and d = 2 - 1.
+    assert stats.rr.tolist() == [[1.0, 3.0], [3.0, 9.0]]
+    assert stats.dr.tolist() == [[1.0, 3.0]]
+    assert stats.dd.tolist() == [[1.0]]
 
 
 def test_accumulate_stats_reduces_to_mean_outer_products():
@@ -202,10 +200,9 @@ def test_accumulate_stats_reduces_to_mean_outer_products():
         V_S_lag=np.zeros((n, n)),
         loglik=0.0,
     )
-    stats = accumulate_stats(out, P)
-    np.testing.assert_allclose(stats.XX, x[:-1].T @ x[:-1], atol=1e-12)
-    np.testing.assert_allclose(stats.XZ, x[:-1].T @ x[1:], atol=1e-12)
-    np.testing.assert_allclose(stats.UU, P[:-1].T @ P[:-1], atol=1e-12)
+    stats, ref = accumulate_stats(out, P), moments_from_states(x, P)
+    for name in ("rr", "dr", "dd"):
+        np.testing.assert_allclose(getattr(stats, name), getattr(ref, name), atol=1e-12, err_msg=name)
 
 
 def test_accumulate_stats_matches_bruteforce_loop():
@@ -230,11 +227,10 @@ def test_accumulate_stats_matches_bruteforce_loop():
         XU += np.outer(out.x_smooth[t], traj.P[t])
         ZU += np.outer(out.x_smooth[t + 1], traj.P[t])
         UU += np.outer(traj.P[t], traj.P[t])
-    for got, want in [
-        (stats.XX, XX), (stats.ZZ, ZZ), (stats.XZ, XZ),
-        (stats.XU, XU), (stats.ZU, ZU), (stats.UU, UU),
-    ]:
-        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+    ref = stats_from_sums(XX, XU, ZZ, ZU, XZ, UU, N)
+    for name in ("rr", "dr", "dd"):
+        np.testing.assert_allclose(getattr(stats, name), getattr(ref, name), rtol=1e-10, atol=1e-12,
+                                   err_msg=name)
 
 
 def test_full_stats_boundary_relation():
@@ -247,7 +243,8 @@ def test_full_stats_boundary_relation():
     stats = accumulate_stats(out, traj.P)
     x = out.x_smooth
     boundary = np.outer(x[-1], x[-1]) - np.outer(x[0], x[0])
-    np.testing.assert_allclose(stats.ZZ - stats.XX, boundary, atol=1e-9)
+    sums = sums_from_stats(stats)
+    np.testing.assert_allclose(sums["ZZ"] - sums["XX"], boundary, atol=1e-9)
 
 
 def test_stats_require_two_steps():
@@ -284,5 +281,8 @@ def test_full_module_steady_estep_matches_folded_path(monkeypatch):
 
     assert rel(out.x_smooth, ref.x_smooth) <= 1e-9
     assert abs(out.loglik - ref.loglik) <= 1e-9 * abs(ref.loglik)
+    # The six sums read back from the moments: dd carries an N |x|^2-sized
+    # cancellation, so a bound relative to |dd| would read rounding in the means.
+    sums, ref_sums = sums_from_stats(stats), sums_from_stats(ref_stats)
     for name in ("XX", "XU", "ZZ", "ZU", "XZ", "UU"):
-        assert rel(getattr(stats, name), getattr(ref_stats, name)) <= 1e-9, name
+        assert rel(sums[name], ref_sums[name]) <= 1e-9, name
