@@ -205,7 +205,8 @@ def cmd_predict(args) -> int:
         if truth.T is None:
             raise ConfigurationError(f"{truth_path} does not contain full-state columns")
         H = min(horizon, truth.T.shape[0])
-        err = np.abs(pred.T[:H] - truth.T[:H])
+        err = np.subtract(pred.T[:H], truth.T[:H])
+        np.abs(err, out=err)
         ambient = float(truth.T[0, exp.mesh.ambient_index])
         rise = float(truth.T[:H].max() - ambient)
         pct = float(100.0 * err.max() / rise) if rise > 0 else None

@@ -269,8 +269,9 @@ class EmConfig:
 
 @dataclass(eq=False)
 class EmTrace:
-    """One row per E-step. ``step_length`` is the SQUAREM step that built the
-    E-step's input (1: plain EM); a rejected extrapolation repeats the row before."""
+    """One row per E-step, appended by ``add``; ``table`` lays out trace.csv.
+    ``step_length`` is the SQUAREM step that built the E-step's input (1: plain
+    EM); a rejected extrapolation repeats the row before."""
 
     theta: list = field(default_factory=list)
     constraint_params: list = field(default_factory=list)
@@ -285,6 +286,25 @@ class EmTrace:
 
     def __len__(self):
         return len(self.theta)
+
+    def add(self, step, row=None):
+        """Append the row ``(theta vector, constraint params, loglik, q_residual,
+        theta_rel_change)`` of the E-step whose input ``step`` built; with no
+        row, a rejected extrapolation that repeats the row before."""
+        cols = (self.theta, self.constraint_params, self.loglik, self.q_residual,
+                self.theta_rel_change)
+        for col, value in zip(cols, row or [c[-1] for c in cols]):
+            col.append(value)
+        self.step_length.append(step)
+        self.rejected.append(row is None)
+
+    def table(self):
+        """trace.csv's column names and its rows (``iter`` counts from 1)."""
+        names = ["iter", "loglik", "theta_rel_change", "q_residual", *self.theta_names,
+                 *self.constraint_names, "step_length", "rejected"]
+        return names, np.column_stack([
+            np.arange(1, len(self) + 1), self.loglik, self.theta_rel_change, self.q_residual,
+            self.theta, self.constraint_params, self.step_length, self.rejected])
 
 
 def _init_constraint(kind: str, q_init: float, n: int, ops: GraphOperators):
@@ -408,14 +428,8 @@ def run_em(
     def record(x, res, step):
         """Append the row of the E-step at ``x`` (``res`` None: rejected); True to stop."""
         nonlocal result
-        trace.step_length.append(step)
-        trace.rejected.append(res is None)
-        rel = np.inf
-        if res is None:
-            for col in (trace.theta, trace.constraint_params, trace.loglik, trace.q_residual,
-                        trace.theta_rel_change):
-                col.append(col[-1])
-        else:
+        rel, row = np.inf, None
+        if res is not None:
             theta_new, c_new, loglik, _, Q_full = res
             result = res[:2]
             old = x[0].vector
@@ -423,11 +437,9 @@ def run_em(
             if trace.loglik and loglik < trace.loglik[-1] - 1e-8 * (1.0 + abs(trace.loglik[-1])):
                 warn("log-likelihood decreased beyond tolerance at E-step %d (%.6g -> %.6g)",
                      len(trace) + 1, trace.loglik[-1], loglik)
-            trace.theta.append(theta_new.vector)
-            trace.constraint_params.append(c_new.params)
-            trace.loglik.append(loglik)
-            trace.q_residual.append(float(np.linalg.norm(Q_full - c_new.matrix(), "fro")))
-            trace.theta_rel_change.append(rel)
+            q_residual = float(np.linalg.norm(Q_full - c_new.matrix(), "fro"))
+            row = (theta_new.vector, c_new.params, loglik, q_residual, rel)
+        trace.add(step, row)
         converged = rel < cfg.theta_tol
         if converged or len(trace) == cfg.max_iter:
             trace.stop_reason = "converged" if converged else "max_iter"

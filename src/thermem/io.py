@@ -2,9 +2,8 @@
 
 Trajectory CSV schema (header mandatory): one row per time step with columns
     t, T_1..T_n (full state) or y_1..y_ny (measurements), P_1..P_nP
-Traces are one row per E-step: iter, loglik, theta_rel_change, q_residual,
-the named theta components and constraint parameters, then step_length and
-rejected (files written before these two columns existed read the same way).
+Traces are one row per E-step, in the columns of ``EmTrace.table``; files
+written before a column was appended read the same way.
 Both CSVs write every number as ``%.12g`` (12 significant digits; ``nan``,
 ``inf``, ``-inf`` and ``-0`` as such), the format of earlier files.
 """
@@ -153,7 +152,8 @@ def _read_csv(path):
 
 
 def read_trajectory_csv(path) -> Trajectory:
-    """Read a trajectory CSV; column names decide y- vs T-block."""
+    """Read a trajectory CSV; column names decide y- vs T-block. A full-state
+    file's ``y`` and ``T`` are one array."""
     names, data = _read_csv(path)
     if names[0] != "t":
         raise DataFormatError(f"{path}: first column must be 't', got header {','.join(names)!r}")
@@ -165,7 +165,7 @@ def read_trajectory_csv(path) -> Trajectory:
     P = data[:, P_cols]
     if T_cols:
         T = data[:, T_cols]
-        return Trajectory(P=P, y=T.copy(), T=T)
+        return Trajectory(P=P, y=T, T=T)
     return Trajectory(P=P, y=data[:, y_cols], T=None)
 
 
@@ -194,27 +194,8 @@ def _jsonify(obj):
 
 def write_trace_csv(path, trace: EmTrace):
     _ensure_dir(path)
-    theta = np.asarray(trace.theta)
-    cparams = np.asarray(trace.constraint_params)
-    header = ",".join(
-        ["iter", "loglik", "theta_rel_change", "q_residual"]
-        + list(trace.theta_names)
-        + list(trace.constraint_names)
-        + ["step_length", "rejected"]
-    )
-    rows = np.column_stack(
-        [
-            np.arange(1, len(trace) + 1),
-            np.asarray(trace.loglik),
-            np.asarray(trace.theta_rel_change),
-            np.asarray(trace.q_residual),
-            theta,
-            cparams,
-            np.asarray(trace.step_length),
-            np.asarray(trace.rejected),
-        ]
-    )
-    _write_csv(path, header, [rows])
+    names, rows = trace.table()
+    _write_csv(path, ",".join(names), [rows])
 
 
 def read_trace_csv(path):

@@ -16,6 +16,7 @@ from thermem.errors import (
 from thermem.estimation import (
     CovarianceConstraint,
     EmConfig,
+    EmTrace,
     _Throttle,
     _quadratic_terms,
     _theta_terms,
@@ -353,6 +354,35 @@ def em_toy_problem(seed=0, N=400, noise_q=None):
         seed=3, noiseless=noise_q is None,
     )
     return mesh, scheme, ops, theta_true, traj
+
+
+def two_row_trace():
+    trace = EmTrace(theta_names=("k_1", "z_1"), constraint_names=("alpha", "beta"))
+    trace.add(1.0, (np.array([0.02, 0.3]), np.array([0.5, 0.125]), -10.5, 1e-3, np.inf))
+    trace.add(2.5, (np.array([0.021, 0.31]), np.array([0.25, 0.0625]), -9.25, 2e-3, 0.05))
+    return trace
+
+
+def test_trace_rejected_add_repeats_the_previous_row():
+    trace = two_row_trace()
+    trace.add(4.0)
+    assert len(trace) == 3 and trace.step_length == [1.0, 2.5, 4.0]
+    assert trace.rejected == [False, False, True]
+    for col in (trace.theta, trace.constraint_params, trace.loglik, trace.q_residual,
+                trace.theta_rel_change):
+        assert len(col) == 3 and np.array_equal(col[2], col[1])
+
+
+def test_trace_table_keeps_the_column_order():
+    trace = two_row_trace()
+    trace.add(4.0)
+    names, rows = trace.table()
+    assert names == ["iter", "loglik", "theta_rel_change", "q_residual", "k_1", "z_1",
+                     "alpha", "beta", "step_length", "rejected"]
+    assert rows.dtype == np.float64 and rows.shape == (3, len(names))
+    assert np.array_equal(rows[:, 0], [1, 2, 3])
+    assert np.array_equal(rows[1], [2, -9.25, 0.05, 2e-3, 0.021, 0.31, 0.25, 0.0625, 2.5, 0])
+    assert np.array_equal(rows[2, 1:-2], rows[1, 1:-2]) and list(rows[2, -2:]) == [4.0, 1.0]
 
 
 def test_run_em_recovers_parameters_noiseless():

@@ -9,7 +9,7 @@ from _oracles import savetxt_12g
 
 from thermem import io as tio
 from thermem.cli import main
-from thermem.estimation import CovarianceConstraint
+from thermem.estimation import CovarianceConstraint, EmTrace
 from thermem.model import Trajectory
 
 
@@ -120,6 +120,29 @@ def test_cli_outputs_rewrite_byte_for_byte(tmp_path):
     names, data = tio.read_trace_csv(str(run / "trace.csv"))
     tio._write_csv(str(tmp_path / "trace.csv"), ",".join(names), [data])
     assert (tmp_path / "trace.csv").read_bytes() == (run / "trace.csv").read_bytes()
+
+
+def test_trace_csv_of_a_hand_built_trace(tmp_path):
+    trace = EmTrace(theta_names=("k_1", "z_1"), constraint_names=("q",))
+    trace.add(1.0, (np.array([0.02, 0.3]), np.array([0.01]), -10.5, 1e-3, np.inf))
+    trace.add(1.0, (np.array([0.021, 0.31]), np.array([0.009]), -9.25, 2e-3, 0.05))
+    trace.add(4.0)
+    path = tmp_path / "trace.csv"
+    tio.write_trace_csv(str(path), trace)
+    assert path.read_text() == (
+        "iter,loglik,theta_rel_change,q_residual,k_1,z_1,q,step_length,rejected\n"
+        "1,-10.5,inf,0.001,0.02,0.3,0.01,1,0\n"
+        "2,-9.25,0.05,0.002,0.021,0.31,0.009,1,0\n"
+        "3,-9.25,0.05,0.002,0.021,0.31,0.009,4,1\n"
+    )
+
+
+def test_full_state_trajectory_reads_y_and_T_as_one_array(tmp_path):
+    X = np.arange(12.0).reshape(4, 3)
+    path = str(tmp_path / "truth.csv")
+    tio.write_trajectory_csv(path, Trajectory(P=np.ones((4, 1)), y=X, T=X), full_state=True)
+    traj = tio.read_trajectory_csv(path)
+    assert np.array_equal(traj.T, X) and np.shares_memory(traj.y, traj.T)
 
 
 @pytest.mark.parametrize("c", [
