@@ -258,7 +258,7 @@ def test_criterion_4_smoother_equivalence():
     assert diff < 1e-4
 
 
-@pytest.mark.parametrize("system", ["random", "thermal"])
+@pytest.mark.parametrize("system", ["random", pytest.param("thermal", marks=pytest.mark.slow)])
 def test_steady_estep_exact_up_to_end_of_record_term(reduced, system):
     """Steady statistics plus the end-of-record term equal rtss_full's.
 

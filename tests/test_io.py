@@ -1,6 +1,8 @@
 """The CSV writer against np.savetxt at %.12g, byte for byte, and the JSON files."""
 
+import itertools
 import json
+import threading
 import warnings
 
 import numpy as np
@@ -60,13 +62,38 @@ def test_one_column_and_empty(tmp_path):
     assert_same_bytes(tmp_path, np.zeros((0, 4)))
 
 
-@pytest.mark.parametrize("extra", [-1, 0, 1, "2x+1"])
+@pytest.mark.parametrize("extra", [-1, 0, 1, "2x+1", "40x+7"])
 def test_chunk_boundaries(tmp_path, extra):
     cols = 7
     chunk = tio._CHUNK_VALUES // cols
-    rows = 2 * chunk + 1 if extra == "2x+1" else chunk + extra
+    rows = {"2x+1": 2 * chunk + 1, "40x+7": 40 * chunk + 7}.get(extra) or chunk + extra
     rng = np.random.default_rng(rows)
-    assert_same_bytes(tmp_path, 25.0 + 10.0 * rng.normal(size=(rows, cols)))
+    x = 25.0 + 10.0 * rng.normal(size=(rows, cols))
+    if extra == "40x+7":
+        # The values written one at a time, in the first, a middle and the
+        # last chunk, which the format threads finish in any order.
+        odd = [np.nan, np.inf, -np.inf, 1.5e-7, -3.25e14, (123456789012 + 0.5) * 1e-3,
+               np.nextafter((987654321098 + 0.5) * 1e-5, 0.0)]
+        for r in (0, 20 * chunk + 3, rows - 1):
+            x[r] = odd
+    assert_same_bytes(tmp_path, x)
+
+
+def test_a_failing_chunk_is_raised_and_leaves_no_thread(tmp_path, monkeypatch):
+    calls = itertools.count(1)  # next() on it is atomic across the format threads
+    format_rows = tio._format_rows
+
+    def third_fails(x):
+        if next(calls) == 3:
+            raise RuntimeError("chunk 3")
+        return format_rows(x)
+
+    monkeypatch.setattr(tio, "_format_rows", third_fails)
+    threads = threading.active_count()
+    data = np.ones((10 * tio._CHUNK_VALUES, 1))
+    with pytest.raises(RuntimeError, match="chunk 3"):
+        tio._write_csv(str(tmp_path / "x.csv"), "c0", [data])
+    assert threading.active_count() == threads
 
 
 def test_trajectory_writer_matches_stacked_savetxt(tmp_path):
